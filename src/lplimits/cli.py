@@ -21,7 +21,13 @@ DEFAULT_SEED = 20240601
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    text = os.environ.get(SEED_ENV_VAR)
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise LpInputError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _cmd_solve(args) -> int:
@@ -155,6 +161,8 @@ def _cmd_simulate(args) -> int:
             raise LpInputError("secretary simulation needs --policy-from-lp n")
         n = int(args.policy_from_lp)
         sol = solve(families.build_secretary(n))
+        if sol.status != "optimal":
+            raise LpInputError(f"secretary LP n={n} did not solve: status {sol.status!r}")
         policy = online_sim.secretary_policy_from_lp(sol.x)
         report = online_sim.run_secretary(policy, trials=args.trials, seed=seed)
         audit = None

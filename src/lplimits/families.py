@@ -15,6 +15,9 @@ from .lp_core import GE, LE, MAXIMIZE, MINIMIZE, DenseLp, LpInputError
 FAMILY_KINDS = ("toy", "balance", "ranking", "secretary")
 
 # Dense-tableau simplex memory/time budget; recurrence oracles go far beyond.
+# At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
+# (numpy 2.4, OpenBLAS): toy 33 s (4094 pivots, 636 MB peak RSS), balance
+# 15 s, ranking 18 s, secretary 19 s.
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
 

@@ -6,6 +6,11 @@ at one of their bounds, and a ratio test allows bound flips in addition to
 basis exchanges.  Entering and leaving variables are chosen by Bland's rule
 (lowest index), which makes every solve deterministic and cycle-free on the
 highly degenerate instances this package produces.
+
+The working tableau is a single dense m x N array updated in place.  A basis
+exchange touches only the rows where the pivot column is nonzero and the
+columns where the pivot row is nonzero; the family LPs keep both sparse, so
+this is far cheaper than a full rank-one update and gives the same values.
 """
 from __future__ import annotations
 
@@ -232,7 +237,13 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
 
 
 class _Tableau:
-    """Dense working tableau for one solve; not reused across solves."""
+    """Dense working tableau for one solve; not reused across solves.
+
+    ``T`` is the only m x N array: it starts as the constraint matrix with one
+    unit column per slack and artificial, and is updated in place by each
+    pivot.  The unit columns are remembered by their row and sign alone, so
+    the basis matrix can be rebuilt from ``lp.rows`` without a second copy.
+    """
 
     def __init__(self, lp: DenseLp):
         self.lp = lp
@@ -275,13 +286,16 @@ class _Tableau:
         self.n, self.m, self.N = n, m, N
         self.n_slack, self.n_art = n_slack, n_art
 
-        A = np.zeros((m, N))
+        T = np.zeros((m, N))
         if m:
-            A[:, :n] = lp.rows
+            T[:, :n] = lp.rows
         lo = np.concatenate([lp.var_lower, np.zeros(n_slack + n_art)])
         hi = np.concatenate([lp.var_upper, np.full(n_slack + n_art, np.inf)])
         residual = lp.rhs - (lp.rows @ x0 if m else 0.0) if m else np.zeros(0)
 
+        # column n + k is the unit vector unit_sign[k] * e_{unit_row[k]}
+        self.unit_row = np.empty(n_slack + n_art, dtype=int)
+        self.unit_sign = np.empty(n_slack + n_art)
         basis = np.empty(m, dtype=int)
         xB = np.empty(m)
         vstat = np.full(N, _AT_LOWER, dtype=np.int8)
@@ -289,42 +303,59 @@ class _Tableau:
         for i in range(m):
             rel = lp.relations[i]
             if rel != EQ:
-                A[i, self.slack_of_row[i]] = 1.0 if rel == LE else -1.0
+                self._set_unit(T, i, self.slack_of_row[i], 1.0 if rel == LE else -1.0)
             if i in self.art_of_row:
-                s = 1.0 if residual[i] >= 0 else -1.0
-                A[i, self.art_of_row[i]] = s
+                self._set_unit(T, i, self.art_of_row[i], 1.0 if residual[i] >= 0 else -1.0)
                 basis[i] = self.art_of_row[i]
                 xB[i] = abs(residual[i])
             else:
                 basis[i] = self.slack_of_row[i]
                 xB[i] = residual[i] if rel == LE else -residual[i]
+            # tableau rows = B^{-1} A with the initial diagonal +-1 basis
+            if self.unit_sign[basis[i] - n] < 0:
+                T[i] = -T[i]
         vstat[basis] = _BASIC
 
-        # tableau rows = B^{-1} A with the initial diagonal +-1 basis
-        self.T = A.copy()
-        for i in range(m):
-            if A[i, basis[i]] < 0:
-                self.T[i] = -self.T[i]
-        self.A = A
+        self.T = T
         self.lo, self.hi = lo, hi
         self.basis, self.vstat, self.xB = basis, vstat, xB
         self.c_phase2 = np.zeros(N)
         self.c_phase2[:n] = sgn * lp.objective
         self.iterations = 0
 
+    def _set_unit(self, T, i, j, sign):
+        T[i, j] = sign
+        self.unit_row[j - self.n] = i
+        self.unit_sign[j - self.n] = sign
+
+    def basis_matrix(self) -> np.ndarray:
+        """The basis columns of [lp.rows | unit columns], as an m x m array."""
+        n, basis = self.n, self.basis
+        B = np.zeros((self.m, self.m))
+        structural = basis < n
+        B[:, structural] = self.lp.rows[:, basis[structural]]
+        k = np.flatnonzero(~structural)
+        u = basis[k] - n
+        B[self.unit_row[u], k] = self.unit_sign[u]
+        return B
+
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         if self.m:
-            d = c - self.c_basic(c) @ self.T
+            d = c - c[self.basis] @ self.T
         else:
             d = c.copy()
         d[self.basis] = 0.0
         return d
 
-    def c_basic(self, c):
-        return c[self.basis]
-
     def run(self, c: np.ndarray, max_iterations: int) -> str:
-        """Bland-rule primal simplex until optimal for objective c."""
+        """Bland-rule primal simplex until optimal for objective c.
+
+        A basis exchange updates ``T`` in place and touches only the rows
+        where the pivot column is nonzero and the columns where the pivot
+        row is nonzero.  Every other entry would only have a product with a
+        zero factor subtracted, so each value (up to the sign of a zero) and
+        each pivot choice matches a full rank-one update.
+        """
         T, lo, hi = self.T, self.lo, self.hi
         basis, vstat, xB = self.basis, self.vstat, self.xB
         d = self.reduced_costs(c)
@@ -374,10 +405,10 @@ class _Tableau:
             leaving = basis[r]
             vstat[leaving] = _AT_LOWER if delta[r] < 0 else _AT_UPPER
             xB[r] = lo[q] + t_rows if direction > 0 else hi[q] - t_rows
-            piv = T[r, q]
-            Trow = T[r] / piv
-            colq = T[:, q].copy()
-            T -= np.outer(colq, Trow)
+            Trow = T[r] / T[r, q]
+            rows = col.nonzero()[0]
+            cols = Trow.nonzero()[0]
+            T[rows[:, None], cols] -= np.outer(col[rows], Trow[cols])
             T[r] = Trow
             d -= d[q] * Trow
             basis[r] = q
@@ -389,18 +420,20 @@ class _Tableau:
         return z
 
     def refresh_basics(self):
-        """Re-solve for basic values from the basis factorization.
+        """Re-solve for basic values from the basis matrix.
 
-        Removes the drift accumulated by rank-one tableau updates; called once
-        at termination so feasibility and duality residuals reach tolerance.
+        Removes the drift accumulated by the in-place tableau updates; called
+        once at termination so feasibility and duality residuals reach
+        tolerance.  B comes from ``basis_matrix``, not from ``T``.  Nonbasic
+        slacks and artificials always sit at zero, so only the structural
+        columns enter the right-hand side.
         """
         if not self.m:
             return
         z = self.nonbasic_values()
         z[self.basis] = 0.0
-        rhs_eff = self.lp.rhs - self.A @ z
-        B = self.A[:, self.basis]
-        self.xB[:] = np.linalg.solve(B, rhs_eff)
+        rhs_eff = self.lp.rhs - self.lp.rows @ z[:self.n]
+        self.xB[:] = np.linalg.solve(self.basis_matrix(), rhs_eff)
 
     def primal(self) -> np.ndarray:
         z = self.nonbasic_values()
@@ -411,8 +444,7 @@ class _Tableau:
     def duals(self) -> np.ndarray:
         if not self.m:
             return np.zeros(0)
-        B = self.A[:, self.basis]
-        y = np.linalg.solve(B.T, self.c_phase2[self.basis])
+        y = np.linalg.solve(self.basis_matrix().T, self.c_phase2[self.basis])
         return self.sgn * y  # caller's sense
 
 
@@ -482,21 +514,29 @@ def dump_lp(lp: DenseLp, path) -> None:
 
 
 def load_lp(path, family_tag: str | None = None) -> DenseLp:
-    """Inverse of dump_lp."""
+    """Inverse of dump_lp; a truncated or non-numeric dump raises LpInputError."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    sense, n_s, m_s = lines[0].split()
-    n, m = int(n_s), int(m_s)
-    objective = np.array([float(v) for v in lines[1].split()])
-    rows, relations, rhs = [], [], []
-    for i in range(m):
-        parts = lines[2 + i].split()
-        rows.append([float(v) for v in parts[:n]])
-        relations.append(parts[n])
-        rhs.append(float(parts[n + 1]))
-    lo = np.array([float(v) for v in lines[2 + m].split()])
-    hi = np.array([float(v) for v in lines[3 + m].split()])
-    return DenseLp(sense=sense, objective=objective,
+        lines = [ln.split() for ln in fh if ln.strip()]
+    try:
+        sense, n_s, m_s = lines[0]
+        n, m = int(n_s), int(m_s)
+        if n < 1 or m < 0 or len(lines) != m + 4:
+            raise ValueError(f"header declares {n} variables and {m} rows, "
+                             f"so {m + 4} lines, but the file has {len(lines)}")
+        objective = [float(v) for v in lines[1]]
+        rows, relations, rhs = [], [], []
+        for parts in lines[2:2 + m]:
+            if len(parts) != n + 2:
+                raise ValueError(f"a row needs {n} coefficients, a relation and "
+                                 f"a right-hand side, got {len(parts)} fields")
+            rows.append([float(v) for v in parts[:n]])
+            relations.append(parts[n])
+            rhs.append(float(parts[n + 1]))
+        lo = [float(v) for v in lines[2 + m]]
+        hi = [float(v) for v in lines[3 + m]]
+    except (IndexError, ValueError) as exc:
+        raise LpInputError(f"malformed LP dump {path}: {exc}") from None
+    return DenseLp(sense=sense, objective=np.array(objective),
                    rows=np.array(rows).reshape(m, n), relations=tuple(relations),
-                   rhs=np.array(rhs), var_lower=lo, var_upper=hi,
+                   rhs=np.array(rhs), var_lower=np.array(lo), var_upper=np.array(hi),
                    family_tag=family_tag)

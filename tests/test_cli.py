@@ -120,6 +120,29 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 777
 
 
+def test_bad_seed_env_is_json_error(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "seven")
+    code, _, err = run_cli(capsys, "simulate", "ranking", "--planted", "10,1",
+                           "--trials", "500", "--json")
+    assert code != 0
+    payload = json.loads(err)
+    assert payload["type"] == "LpInputError"
+    assert SEED_ENV_VAR in payload["error"]
+
+
+def test_simulate_secretary_refuses_unsolved_lp(capsys, monkeypatch):
+    from lplimits import cli, lp_core
+
+    monkeypatch.setattr(cli, "solve", lambda lp: lp_core.solve(lp, max_iterations=0))
+    code, _, err = run_cli(capsys, "simulate", "secretary",
+                           "--policy-from-lp", "20", "--trials", "500",
+                           "--seed", "1", "--json")
+    assert code != 0
+    payload = json.loads(err)
+    assert payload["type"] == "LpInputError"
+    assert "iteration_limit" in payload["error"]
+
+
 def test_simulate_instance_file(capsys, tmp_path):
     from lplimits import triangular_instance
     from lplimits.online_sim import write_instance

@@ -13,6 +13,7 @@ from lplimits import (
     load_lp,
     solve,
 )
+from lplimits.families import FAMILY_KINDS, FamilySpec
 from lplimits.lp_core import GE, LE, MAXIMIZE, MINIMIZE
 
 
@@ -179,9 +180,28 @@ def test_solution_feasible_and_certified(build, n):
     assert np.all(sol.x <= lp.var_upper + 1e-9)
 
 
-def test_agrees_with_scipy_on_random_boxed_lps(rng):
+def highs(lp):
+    """scipy's HiGHS on the same DenseLp: (result, objective in lp's sense)."""
     from scipy.optimize import linprog
 
+    sgn = 1.0 if lp.sense == MINIMIZE else -1.0
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
+        if rel == LE:
+            a_ub.append(row); b_ub.append(b)
+        elif rel == GE:
+            a_ub.append(-row); b_ub.append(-b)
+        else:
+            a_eq.append(row); b_eq.append(b)
+    ref = linprog(sgn * lp.objective, A_ub=np.array(a_ub) if a_ub else None,
+                  b_ub=np.array(b_ub) if b_ub else None,
+                  A_eq=np.array(a_eq) if a_eq else None,
+                  b_eq=np.array(b_eq) if b_eq else None,
+                  bounds=list(zip(lp.var_lower, lp.var_upper)), method="highs")
+    return ref, sgn * ref.fun if ref.status == 0 else None
+
+
+def test_agrees_with_scipy_on_random_boxed_lps(rng):
     for trial in range(40):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 7))
@@ -195,26 +215,12 @@ def test_agrees_with_scipy_on_random_boxed_lps(rng):
         lp = DenseLp(sense=sense, objective=c, rows=rows,
                      relations=tuple(rels), rhs=rhs, var_lower=lo, var_upper=hi)
         sol = solve(lp)
-
-        sgn = 1.0 if sense == "minimize" else -1.0
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for i, rel in enumerate(rels):
-            if rel == "<=":
-                a_ub.append(rows[i]); b_ub.append(rhs[i])
-            elif rel == ">=":
-                a_ub.append(-rows[i]); b_ub.append(-rhs[i])
-            else:
-                a_eq.append(rows[i]); b_eq.append(rhs[i])
-        ref = linprog(sgn * c, A_ub=np.array(a_ub) if a_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(a_eq) if a_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      bounds=list(zip(lo, hi)), method="highs")
+        ref, ref_value = highs(lp)
         if ref.status == 2:
             assert sol.status == "infeasible", (trial, sol.status)
         else:
             assert ref.status == 0 and sol.status == "optimal", (trial, ref.status)
-            assert sol.objective_value == pytest.approx(sgn * ref.fun, abs=1e-7)
+            assert sol.objective_value == pytest.approx(ref_value, abs=1e-7)
             assert certify(lp, sol).passed
 
 
@@ -242,3 +248,50 @@ def test_dump_load_roundtrip(tmp_path):
     assert lp.relations == lp2.relations
     assert np.array_equal(lp.rhs, lp2.rhs)
     assert solve(lp2).objective_value == solve(lp).objective_value
+
+
+# Bland pivot counts of every family; a hot-path change that alters one
+# entering or leaving choice changes these.
+PIVOTS = {
+    "toy": [1, 2, 4, 12, 30, 126, 254, 510],
+    "balance": [0, 1, 2, 6, 15, 63, 127, 255],
+    "ranking": [1, 2, 3, 7, 16, 64, 128, 256],
+    "secretary": [1, 2, 4, 9, 22, 87, 175, 350],
+}
+PIVOT_SIZES = [1, 2, 3, 7, 16, 64, 128, 256]
+
+
+@pytest.mark.parametrize("kind,n,pivots", [
+    (kind, n, p) for kind, counts in PIVOTS.items()
+    for n, p in zip(PIVOT_SIZES, counts)
+])
+def test_pivot_sequence_pinned(kind, n, pivots):
+    sol = solve(FamilySpec(kind, n).build())
+    assert sol.status == "optimal"
+    assert sol.iterations == pivots
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_agrees_with_highs_at_family_scale(kind):
+    lp = FamilySpec(kind, 256).build()
+    sol = solve(lp)
+    ref, ref_value = highs(lp)
+    assert sol.status == "optimal" and ref.status == 0
+    assert sol.objective_value == pytest.approx(ref_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("", id="empty"),
+    pytest.param("minimize 2 1\n1.0 1.0\n1.0 1.0 >= 1.0\n0.0 0.0\n", id="truncated"),
+    pytest.param("minimize 2 1\n1.0 x\n1.0 1.0 >= 1.0\n0.0 0.0\n1.0 1.0\n",
+                 id="non-numeric"),
+    pytest.param("minimize 2 1\n1.0 1.0\n1.0 >= 1.0\n0.0 0.0\n1.0 1.0\n", id="short-row"),
+    pytest.param("minimize two 1\n1.0 1.0\n1.0 1.0 >= 1.0\n0.0 0.0\n1.0 1.0\n",
+                 id="bad-header"),
+    pytest.param("minimize 2\n1.0 1.0\n0.0 0.0\n1.0 1.0\n", id="short-header"),
+])
+def test_load_lp_rejects_malformed_dump(tmp_path, text):
+    path = tmp_path / "bad.lp"
+    path.write_text(text)
+    with pytest.raises(LpInputError):
+        load_lp(path)

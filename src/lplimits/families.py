@@ -10,9 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import GE, LE, MAXIMIZE, MINIMIZE, DenseLp, LpInputError
+from .lp_core import FAMILY_TAGS, GE, LE, MAXIMIZE, MINIMIZE, DenseLp, LpInputError
 
-FAMILY_KINDS = ("toy", "balance", "ranking", "secretary")
+FAMILY_KINDS = FAMILY_TAGS
+
+# The limit constants every family converges to: 1/e and 1 - 1/e.
+INV_E = 1.0 / np.e
 
 # Dense-tableau simplex memory/time budget; recurrence oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM

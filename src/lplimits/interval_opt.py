@@ -18,8 +18,6 @@ from scipy.optimize import minimize_scalar
 
 from .lp_core import LpInputError
 
-INV_E = 1.0 / math.e
-
 
 @dataclass(frozen=True)
 class IntervalSequence:

@@ -28,7 +28,7 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 LE, GE, EQ = "<=", ">=", "="
 
-FAMILY_TAGS = ("toy", "balance", "ranking", "secretary", "custom")
+FAMILY_TAGS = ("toy", "balance", "ranking", "secretary")
 
 _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 

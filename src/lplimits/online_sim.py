@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
-from . import families
-from .lp_core import LpInputError, check_feasibility
+from .lp_core import LpInputError
 
 TRIAL_BLOCK = 4096
 DEFAULT_TRIALS = 100_000
@@ -28,6 +29,12 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Independent substream for one trial block; streams are spaced 2^128
     Philox counters apart."""
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+
+
+def _blocks(trials: int):
+    """Yield (block index, block size) pairs covering `trials` trials."""
+    for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
+        yield block, min(TRIAL_BLOCK, trials - start)
 
 
 @dataclass(frozen=True)
@@ -62,16 +69,16 @@ class SlabStats:
 
     alpha[i-1] counts bidders whose final spent fraction falls in group i
     (group N+1 means fully spent); beta[j-1] is the total spend inside slab j
-    in budget units.  beta_units keeps the exact integer numerators (units of
-    1/(N*b)) when the stats come from a real run, enabling an exact audit.
+    in budget units.  beta_units holds the exact integer numerators of beta
+    (units of 1/(N*b)); the audit works on them alone.
     """
 
     N: int
     alpha: np.ndarray
     beta: np.ndarray
     rho: np.ndarray
-    beta_units: np.ndarray | None = None
-    b: int | None = None
+    beta_units: np.ndarray
+    b: int
 
 
 @dataclass(frozen=True)
@@ -142,19 +149,14 @@ def slab_audit(stats: SlabStats, opt_exhausts_budgets: bool) -> AuditResult:
     """Check the prefix inequality sum_{j<=p} beta_j >= sum_{i<=p} alpha_i.
 
     Only meaningful when the offline optimum exhausts every budget; the audit
-    is refused otherwise.  Exact integer arithmetic is used whenever the
-    stats carry their unit numerators.
+    is refused otherwise.  Both sides are compared exactly, in integer units
+    of 1/(N*b).
     """
     if not opt_exhausts_budgets:
         raise LpInputError("audit refused: hypothesis 'opt exhausts budgets' unmet")
     N = stats.N
-    cum_alpha = np.cumsum(stats.alpha[:N])
-    if stats.beta_units is not None and stats.b is not None:
-        lhs = np.cumsum(stats.beta_units)
-        rhs = cum_alpha * (N * stats.b)
-    else:
-        lhs = np.cumsum(stats.beta)
-        rhs = cum_alpha - 1e-12
+    lhs = np.cumsum(stats.beta_units)
+    rhs = np.cumsum(stats.alpha[:N]) * (N * stats.b)
     bad = np.nonzero(lhs < rhs)[0]
     if bad.size:
         return AuditResult(passed=False, worst_prefix=int(bad[0]) + 1)
@@ -175,10 +177,7 @@ def run_ranking(instance: SimInstance, trials: int,
               for nb in instance.arrivals]
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block = 0
-    while done < trials:
-        bsz = min(TRIAL_BLOCK, trials - done)
+    for block, bsz in _blocks(trials):
         rng = _block_rng(seed, block)
         # iid uniforms induce a uniform permutation; the neighbor of smallest
         # draw is the neighbor of smallest rank
@@ -197,8 +196,6 @@ def run_ranking(instance: SimInstance, trials: int,
             size += ok
         total += float(size.sum())
         total_sq += float((size.astype(float) ** 2).sum())
-        done += bsz
-        block += 1
     return _report(total, total_sq, trials, seed)
 
 
@@ -218,19 +215,22 @@ def secretary_policy_from_lp(x) -> PolicyTable:
 
     Position i accepts a best-so-far candidate with probability
     x_i * i / (1 - sum_{l<i} x_l); positions whose denominator vanishes are
-    unreachable and carry probability 0.
+    unreachable and carry probability 0.  x must satisfy the LP's rows
+    i x_i + sum_{l<i} x_l <= 1 and bounds 0 <= x <= 1 to within 1e-6.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise LpInputError("x must be a non-empty vector of finite values")
     n = x.size
-    lp = families.build_secretary(n)
-    rep = check_feasibility(lp, x, tol=1e-6)
-    if not rep.ok:
-        raise LpInputError(
-            f"x is not feasible for the secretary LP (violation {rep.max_violation:.3g})")
     prior = np.concatenate([[0.0], np.cumsum(x)[:-1]])
+    i = np.arange(1, n + 1)
+    violation = max(float(np.max(i * x + prior - 1.0)),
+                    float(np.max(-x)), float(np.max(x - 1.0)), 0.0)
+    if violation > 1e-6:
+        raise LpInputError(
+            f"x is not feasible for the secretary LP (violation {violation:.3g})")
     denom = 1.0 - prior
     reachable = denom > 1e-12
-    i = np.arange(1, n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(reachable, x * i / np.where(reachable, denom, 1.0), 0.0)
     # feasibility bounds p by 1; clamp the tolerance spill
@@ -252,10 +252,7 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
     p = policy.accept_prob
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block = 0
-    while done < trials:
-        bsz = min(TRIAL_BLOCK, trials - done)
+    for block, bsz in _blocks(trials):
         rng = _block_rng(seed, block)
         quality = rng.random((bsz, n))
         coins = rng.random((bsz, n))
@@ -266,8 +263,6 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
         success = stopped & (first == np.argmax(quality, axis=1))
         total += float(success.sum())
         total_sq += float(success.sum())  # indicator: squares equal values
-        done += bsz
-        block += 1
     return _report(total, total_sq, trials, seed)
 
 
@@ -333,23 +328,22 @@ def planted_instance(n: int, b: int, extra_degree: int = 2,
 
 
 def offline_optimum(instance: SimInstance) -> float:
-    """Exact offline maximum in budget units, by max-flow.
+    """Exact offline maximum in budget units: the maximum b-matching, as an
+    integer max-flow (Dinic).
 
-    Intended for desk-scale instances (n_offline <= ~50); planted instances
-    know their optimum by construction.
+    Node 0 is the source, nodes 1..n_offline the offline side (capacity b
+    from the source), node n_offline+1+t arrival t (capacity 1 to the sink,
+    the last node), with a unit-capacity edge from each neighbor to it.
     """
-    import networkx as nx
-
-    G = nx.DiGraph()
-    src, snk = "s", "t"
-    for u in range(1, instance.n_offline + 1):
-        G.add_edge(src, ("u", u), capacity=instance.b)
-    for t, nb in enumerate(instance.arrivals):
-        G.add_edge(("v", t), snk, capacity=1)
-        for u in nb:
-            G.add_edge(("u", u), ("v", t), capacity=1)
-    val, _ = nx.maximum_flow(G, src, snk)
-    return val / instance.b
+    n = instance.n_offline
+    sink = n + instance.n_online + 1
+    edges = [(0, u, instance.b) for u in range(1, n + 1)]
+    for t, nb in enumerate(instance.arrivals, start=n + 1):
+        edges += [(u, t, 1) for u in nb]
+        edges.append((t, sink, 1))
+    tail, head, cap = np.array(edges, dtype=np.int32).T
+    graph = csr_array((cap, (tail, head)), shape=(sink + 1, sink + 1))
+    return int(maximum_flow(graph, 0, sink).flow_value) / instance.b
 
 
 def write_instance(instance: SimInstance, path) -> None:
@@ -361,16 +355,27 @@ def write_instance(instance: SimInstance, path) -> None:
             fh.write(" ".join(str(u) for u in nb) + "\n")
 
 
+def _ints(fields, where: str) -> tuple:
+    try:
+        return tuple(int(v) for v in fields)
+    except ValueError:
+        raise LpInputError(
+            f"non-integer value in {where}: {' '.join(fields)!r}") from None
+
+
 def read_instance(path) -> SimInstance:
+    """Parse the write_instance format; malformed files raise LpInputError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise LpInputError("instance header must be 'n_offline n_online b'")
-        n, n_online, b = (int(v) for v in header)
+        n, n_online, b = _ints(header, "instance header")
+        if n_online < 0:
+            raise LpInputError("instance header needs n_online >= 0")
         arrivals = []
-        for _ in range(n_online):
+        for t in range(1, n_online + 1):
             line = fh.readline()
             if line == "":
                 raise LpInputError("instance file ended early")
-            arrivals.append(tuple(int(v) for v in line.split()))
+            arrivals.append(_ints(line.split(), f"arrival line {t}"))
     return SimInstance(n_offline=n, b=b, arrivals=tuple(arrivals))

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
+from .families import INV_E
 from .lp_core import CERT_TOL, LpInputError, certify, solve
-
-INV_E = 1.0 / np.e
 
 LIMIT_TARGETS = {
     "toy": 1.0 - INV_E,
@@ -90,16 +89,13 @@ def _sweep_entry(kind, n, oracle, certificates, max_iterations) -> SweepRow:
 
 
 def sweep_family(kind: str, sizes, certificates: bool = False,
-                 max_iterations: int | None = None,
-                 workers: int | None = None) -> SweepTable:
+                 max_iterations: int | None = None) -> SweepTable:
     """One solve (or recurrence-oracle evaluation) per size, ascending.
 
     Sizes beyond the simplex cap use the tight-recurrence oracle (toy and
     ranking only); sizes inside the cap are solved by simplex and, where an
     oracle exists, cross-checked against it to 1e-9.  Any non-optimal solve
-    aborts the sweep.  Entries are independent pure solves, so `workers`
-    may run them on a thread pool; the table is assembled in size order
-    either way.
+    aborts the sweep.
     """
     if kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
@@ -107,16 +103,8 @@ def sweep_family(kind: str, sizes, certificates: bool = False,
     if not sizes or sizes[0] < 1:
         raise LpInputError("sizes must be positive")
     oracle = _ORACLES.get(kind)
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda n: _sweep_entry(kind, n, oracle, certificates,
-                                       max_iterations), sizes))
-    else:
-        rows = [_sweep_entry(kind, n, oracle, certificates, max_iterations)
-                for n in sizes]
+    rows = [_sweep_entry(kind, n, oracle, certificates, max_iterations)
+            for n in sizes]
     return SweepTable(family=kind, rows=rows, limit_target=LIMIT_TARGETS[kind])
 
 

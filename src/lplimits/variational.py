@@ -4,16 +4,13 @@ checker for the stationarity conditions of the secretary optimizer.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .families import FamilySpec
+from .families import INV_E, FamilySpec
 from .lp_core import LpInputError, check_feasibility
-
-INV_E = 1.0 / math.e
 
 # u_dot above this level counts as "active" (tight constraint); separates the
 # flat piece of the secretary optimizer from the hyperbolic piece.

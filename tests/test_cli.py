@@ -143,6 +143,15 @@ def test_simulate_secretary_refuses_unsolved_lp(capsys, monkeypatch):
     assert "iteration_limit" in payload["error"]
 
 
+def test_malformed_instance_file_is_json_error(capsys, tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("x 3 1\n")
+    code, _, err = run_cli(capsys, "simulate", "ranking", "--instance",
+                           str(path), "--trials", "400", "--json")
+    assert code != 0
+    assert json.loads(err)["type"] == "LpInputError"
+
+
 def test_simulate_instance_file(capsys, tmp_path):
     from lplimits import triangular_instance
     from lplimits.online_sim import write_instance

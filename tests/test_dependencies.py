@@ -1,0 +1,48 @@
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lplimits"
+
+
+def imported_packages():
+    """Top-level names of every absolute import in the package, including
+    imports made inside functions."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
+            for d in deps}
+
+
+def test_every_import_is_stdlib_local_or_declared():
+    allowed = set(sys.stdlib_module_names) | {"lplimits"} | declared_dependencies()
+    assert imported_packages() - allowed == set()
+
+
+def test_offline_optimum_loads_no_graph_library():
+    code = ("import sys, lplimits as L; "
+            "L.offline_optimum(L.triangular_instance(5, 2)); "
+            "print('networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"

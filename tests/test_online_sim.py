@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lplimits import (
     LpInputError,
@@ -21,7 +22,7 @@ from lplimits import (
     threshold_policy_value,
     triangular_instance,
 )
-from lplimits.online_sim import read_instance, write_instance
+from lplimits.online_sim import _blocks, read_instance, write_instance
 
 INV_E = 1.0 / math.e
 
@@ -71,6 +72,42 @@ def test_balance_never_beats_offline_optimum(rng):
         assert run.value <= n
 
 
+def b_matching_lp_optimum(inst):
+    """Maximum b-matching size from its LP relaxation; the bipartite
+    incidence matrix is totally unimodular, so the LP optimum is integral."""
+    edges = [(u - 1, t) for t, nb in enumerate(inst.arrivals) for u in nb]
+    if not edges:
+        return 0.0
+    A = np.zeros((inst.n_offline + inst.n_online, len(edges)))
+    for e, (u, t) in enumerate(edges):
+        A[u, e] = 1.0
+        A[inst.n_offline + t, e] = 1.0
+    rhs = np.r_[np.full(inst.n_offline, inst.b), np.ones(inst.n_online)]
+    res = linprog(-np.ones(len(edges)), A_ub=A, b_ub=rhs, bounds=(0, 1),
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_offline_optimum_matches_b_matching_lp():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        b = int(rng.integers(1, 4))
+        n_arr = int(rng.integers(1, n * b))  # fewer arrivals than capacity
+        arrivals = tuple(
+            tuple(int(v) for v in rng.integers(1, n + 1, size=int(rng.integers(0, 4))))
+            for _ in range(n_arr))
+        inst = SimInstance(n_offline=n, b=b, arrivals=arrivals)
+        opt = offline_optimum(inst) * b
+        assert opt < n * b
+        assert abs(opt - b_matching_lp_optimum(inst)) <= 1e-9
+    for seed in range(5):
+        inst = planted_instance(10, 3, extra_degree=2, seed=seed)
+        assert offline_optimum(inst) == 10
+        assert abs(b_matching_lp_optimum(inst) - 30) <= 1e-9
+
+
 def test_slab_audit_on_planted_corpus(rng):
     # slab boundaries aligned with the spend grid: b a multiple of N
     for k in range(40):
@@ -86,7 +123,8 @@ def test_slab_audit_on_planted_corpus(rng):
 
 def test_slab_audit_rejects_fabricated_stats():
     bad = SlabStats(N=4, alpha=np.array([6, 0, 0, 0, 0]),
-                    beta=np.zeros(4), rho=np.zeros(6))
+                    beta=np.zeros(4), rho=np.zeros(6),
+                    beta_units=np.zeros(4, dtype=np.int64), b=1)
     res = slab_audit(bad, opt_exhausts_budgets=True)
     assert not res.passed
     assert res.worst_prefix == 1
@@ -133,6 +171,17 @@ def test_ranking_reproducible_and_seed_consistent():
     assert spread <= 4 * math.hypot(a.std_error, c.std_error)
 
 
+def test_block_streams_pinned():
+    # 10_000 trials: two full blocks and a partial third
+    assert list(_blocks(10_000)) == [(0, 4096), (1, 4096), (2, 1808)]
+    rep = run_ranking(triangular_instance(30, 1), 10_000, seed=9)
+    assert rep.estimate == 19.2292
+    n, k = 20, 7
+    threshold = PolicyTable(n=n, accept_prob=np.r_[np.zeros(k), np.ones(n - k)],
+                            reachable=np.ones(n, dtype=bool))
+    assert run_secretary(threshold, 10_000, seed=6).estimate == 0.3814
+
+
 def test_ranking_triangular_near_limit():
     rep = run_ranking(triangular_instance(60, 1), trials=20_000, seed=5)
     assert 0.60 <= rep.estimate / 60 <= 0.67
@@ -168,6 +217,20 @@ def test_policy_rejects_infeasible():
     x = np.full(5, 0.9)
     with pytest.raises(LpInputError):
         secretary_policy_from_lp(x)
+
+
+@pytest.mark.parametrize("x", [[-0.01, 0.0, 0.0], [np.nan, 0.0, 0.0],
+                               [np.inf, 0.0], [], np.zeros((2, 2))],
+                         ids=["negative", "nan", "inf", "empty", "2-d"])
+def test_policy_rejects_malformed(x):
+    with pytest.raises(LpInputError):
+        secretary_policy_from_lp(x)
+
+
+def test_policy_has_no_simplex_size_cap():
+    pol = secretary_policy_from_lp(np.zeros(3000))
+    assert pol.n == 3000
+    assert np.all(pol.accept_prob == 0.0) and np.all(pol.reachable)
 
 
 def test_secretary_trivial_and_uniform_policies():
@@ -231,6 +294,16 @@ def test_instance_file_roundtrip(tmp_path):
     assert back.n_offline == inst.n_offline
     assert back.b == inst.b
     assert back.arrivals == inst.arrivals
+
+
+@pytest.mark.parametrize("text", ["x 3 1\n", "2 1 1\n1 y\n", "2 -1 1\n"],
+                         ids=["non-numeric header", "non-numeric arrival",
+                              "negative n_online"])
+def test_read_instance_rejects_malformed(tmp_path, text):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    with pytest.raises(LpInputError):
+        read_instance(path)
 
 
 def test_instance_validation():

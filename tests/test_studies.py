@@ -84,13 +84,6 @@ def test_rate_bound_with_fitted_constant():
         assert abs(row.value - L) <= 2 * abs(C) / row.n
 
 
-def test_sweep_workers_match_sequential():
-    seq = sweep_family("ranking", [4, 16, 64, 5000])
-    par = sweep_family("ranking", [4, 16, 64, 5000], workers=3)
-    assert np.array_equal(seq.values, par.values)
-    assert np.array_equal(seq.sizes, par.sizes)
-
-
 def test_cross_module_consistency():
     """The solver at desk scale, the discretization bridge, the tight ODE,
     and the simulated secretary policy all land on the same limits."""

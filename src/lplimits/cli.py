@@ -20,14 +20,16 @@ SEED_ENV_VAR = "LPLIMITS_SEED"
 DEFAULT_SEED = 20240601
 
 
-def _default_seed() -> int:
-    text = os.environ.get(SEED_ENV_VAR)
-    if text is None:
-        return DEFAULT_SEED
+def _int(text: str, name: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise LpInputError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+        raise LpInputError(f"{name} must be an integer, got {text!r}") from None
+
+
+def _default_seed() -> int:
+    text = os.environ.get(SEED_ENV_VAR)
+    return DEFAULT_SEED if text is None else _int(text, SEED_ENV_VAR)
 
 
 def _cmd_solve(args) -> int:
@@ -56,7 +58,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = [_int(s, "--sizes") for s in args.sizes.split(",") if s.strip()]
     table = studies.sweep_family(args.family, sizes)
     fit = studies.limit_estimate(table) if args.extrapolate else None
     if args.out:
@@ -137,7 +139,7 @@ def _load_sim_instance(args) -> online_sim.SimInstance:
     if args.instance:
         return online_sim.read_instance(args.instance)
     if args.planted:
-        parts = [int(v) for v in args.planted.split(",")]
+        parts = [_int(v, "--planted") for v in args.planted.split(",")]
         n = parts[0]
         b = parts[1] if len(parts) > 1 else 1
         return online_sim.triangular_instance(n, b)
@@ -159,7 +161,7 @@ def _cmd_simulate(args) -> int:
     else:
         if not args.policy_from_lp:
             raise LpInputError("secretary simulation needs --policy-from-lp n")
-        n = int(args.policy_from_lp)
+        n = _int(args.policy_from_lp, "--policy-from-lp")
         sol = solve(families.build_secretary(n))
         if sol.status != "optimal":
             raise LpInputError(f"secretary LP n={n} did not solve: status {sol.status!r}")

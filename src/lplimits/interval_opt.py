@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lp_core import LpInputError
 
@@ -127,6 +126,8 @@ def _pair_table(grid: np.ndarray, min_sep: float):
 def _refine_k1(a: float, b: float, resolution: float, min_sep: float):
     """Coordinate ascent around a K=1 grid argmax; each sweep solves the two
     bounded one-dimensional problems by scalar minimization."""
+    from scipy.optimize import minimize_scalar
+
     def g1(aa, bb):
         return aa * math.log(bb / aa)
 

@@ -11,6 +11,13 @@ The working tableau is a single dense m x N array updated in place.  A basis
 exchange touches only the rows where the pivot column is nonzero and the
 columns where the pivot row is nonzero; the family LPs keep both sparse, so
 this is far cheaper than a full rank-one update and gives the same values.
+
+Two vectors carry all the per-row and per-column state.  The row-sign vector
+(+1 for ``<=``, -1 for ``>=``, 0 for ``=``) gives every row residual, dual
+sign check, slack column and starting basis.  The nonbasic-direction vector
+``dirn`` (+1 at the lower bound, -1 at the upper bound, 0 when basic or of
+zero span) gives the entering test and the nonbasic values.  Neither needs a
+special case for bounds-only LPs (m = 0).
 """
 from __future__ import annotations
 
@@ -29,8 +36,6 @@ MAXIMIZE = "maximize"
 LE, GE, EQ = "<=", ">=", "="
 
 FAMILY_TAGS = ("toy", "balance", "ranking", "secretary")
-
-_BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
 
 class LpInputError(ValueError):
@@ -138,29 +143,33 @@ class CertificateReport:
     passed: bool
 
 
+def _row_signs(relations) -> np.ndarray:
+    """+1 for each ``<=`` row, -1 for each ``>=`` row, 0 for each ``=`` row."""
+    rel = np.asarray(relations, dtype=str)
+    return np.where(rel == LE, 1.0, np.where(rel == GE, -1.0, 0.0))
+
+
+def _row_residuals(lp: DenseLp, sign: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Amount by which each row relation is violated at x (0 when satisfied)."""
+    r = lp.rows @ x - lp.rhs
+    return np.where(sign == 0, np.abs(r), np.maximum(sign * r, 0.0))
+
+
 def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityReport:
     """Exact residual report for a candidate point.
 
     Row residual is the amount by which the row relation is violated (0 when
     satisfied); bound residual likewise.  A zero report means x is feasible.
+    Non-finite x is rejected: it has no meaningful residual.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpInputError(f"x must have shape ({lp.n_vars},), got {x.shape}")
-    if lp.n_rows:
-        ax = lp.rows @ x
-        res = np.zeros(lp.n_rows)
-        for i, rel in enumerate(lp.relations):
-            if rel == LE:
-                res[i] = max(0.0, ax[i] - lp.rhs[i])
-            elif rel == GE:
-                res[i] = max(0.0, lp.rhs[i] - ax[i])
-            else:
-                res[i] = abs(ax[i] - lp.rhs[i])
-        worst = int(np.argmax(res))
-        row_viol = float(res[worst])
-    else:
-        worst, row_viol = -1, 0.0
+    if not np.all(np.isfinite(x)):
+        raise LpInputError("x has non-finite entries")
+    res = _row_residuals(lp, _row_signs(lp.relations), x)
+    worst = int(np.argmax(res)) if lp.n_rows else -1
+    row_viol = float(np.max(res, initial=0.0))
     bound_viol = float(max(np.max(lp.var_lower - x, initial=0.0),
                            np.max(x - lp.var_upper, initial=0.0)))
     return FeasibilityReport(
@@ -180,31 +189,23 @@ def _dual_report(lp: DenseLp, x: np.ndarray, y: np.ndarray):
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
     """
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
-    c = lp.objective
-    d = c - (lp.rows.T @ y if lp.n_rows else 0.0)
-    d_int = sgn * d  # reduced costs of the internal minimization problem
+    d_int = sgn * (lp.objective - lp.rows.T @ y)  # internal-min reduced costs
     pos = np.maximum(d_int, 0.0)
     neg = np.maximum(-d_int, 0.0)
     # internal-min dual objective, mapped back to the caller's sense
     bound_part = float(lp.var_lower @ pos - lp.var_upper @ neg)
-    dual_obj = sgn * (float(lp.rhs @ (sgn * y)) if lp.n_rows else 0.0) + sgn * bound_part
-    # sign feasibility of row multipliers (internal min: >= rows carry y >= 0)
-    dual_infeas = 0.0
-    comp = 0.0
-    if lp.n_rows:
-        ax = lp.rows @ x
-        y_int = sgn * y
-        for i, rel in enumerate(lp.relations):
-            slack = lp.rhs[i] - ax[i]
-            if rel == GE:
-                dual_infeas = max(dual_infeas, -y_int[i])
-            elif rel == LE:
-                dual_infeas = max(dual_infeas, y_int[i])
-            comp = max(comp, abs(y[i] * slack))
+    dual_obj = sgn * float(lp.rhs @ (sgn * y)) + sgn * bound_part
+    # sign feasibility of row multipliers: internal-min <= rows carry y <= 0,
+    # >= rows y >= 0, so sign * y_int must not be positive (the outer max
+    # turns a -0.0 from an equality row into 0.0)
+    dual_infeas = max(0.0, float(np.max(_row_signs(lp.relations) * (sgn * y),
+                                        initial=0.0)))
+    comp_rows = np.abs(y * (lp.rhs - lp.rows @ x))
     comp_bounds = np.maximum(pos * np.abs(x - lp.var_lower),
                              neg * np.abs(lp.var_upper - x))
-    comp = max(comp, float(np.max(comp_bounds, initial=0.0)))
-    return dual_obj, max(0.0, dual_infeas), comp
+    comp = max(float(np.max(comp_rows, initial=0.0)),
+               float(np.max(comp_bounds, initial=0.0)))
+    return dual_obj, dual_infeas, comp
 
 
 def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:
@@ -243,90 +244,67 @@ class _Tableau:
     unit column per slack and artificial, and is updated in place by each
     pivot.  The unit columns are remembered by their row and sign alone, so
     the basis matrix can be rebuilt from ``lp.rows`` without a second copy.
+
+    Row i has a slack column (sign +1 or -1, from the row-sign vector) unless
+    it is an equality, and an artificial column when the starting corner
+    violates it or it is an equality; the artificial, or else the slack, is
+    its starting basic variable.  ``dirn[j]`` is +1 for a nonbasic variable
+    at its lower bound, -1 at its upper bound, and 0 for a basic variable or
+    one whose bounds coincide, so ``dirn * d < 0`` marks improving columns.
     """
 
     def __init__(self, lp: DenseLp):
         self.lp = lp
         n, m = lp.n_vars, lp.n_rows
-        sgn = 1.0 if lp.sense == MINIMIZE else -1.0
-        self.sgn = sgn
-
-        slack_rows = [i for i in range(m) if lp.relations[i] != EQ]
-        self.slack_of_row = {i: n + k for k, i in enumerate(slack_rows)}
-        n_slack = len(slack_rows)
+        self.sgn = 1.0 if lp.sense == MINIMIZE else -1.0
+        sign = _row_signs(lp.relations)
 
         # Choose the all-lower or all-upper starting corner, whichever leaves
         # fewer rows needing an artificial variable (ties prefer lower).
-        def start_infeasible(x0):
-            ax = lp.rows @ x0 if m else np.zeros(0)
-            bad = []
-            for i in range(m):
-                r = lp.rhs[i] - ax[i]
-                if lp.relations[i] == LE and r < -FEAS_TOL:
-                    bad.append(i)
-                elif lp.relations[i] == GE and r > FEAS_TOL:
-                    bad.append(i)
-                elif lp.relations[i] == EQ and abs(r) > FEAS_TOL:
-                    bad.append(i)
-            return bad
+        bad_lo = _row_residuals(lp, sign, lp.var_lower) > FEAS_TOL
+        bad_hi = _row_residuals(lp, sign, lp.var_upper) > FEAS_TOL
+        at_upper = np.count_nonzero(bad_hi) < np.count_nonzero(bad_lo)
+        x0, bad = (lp.var_upper, bad_hi) if at_upper else (lp.var_lower, bad_lo)
+        residual = lp.rhs - lp.rows @ x0
 
-        bad_lo = start_infeasible(lp.var_lower)
-        bad_hi = start_infeasible(lp.var_upper)
-        if len(bad_hi) < len(bad_lo):
-            x0, bad, self.start_status = lp.var_upper, bad_hi, _AT_UPPER
-        else:
-            x0, bad, self.start_status = lp.var_lower, bad_lo, _AT_LOWER
-        art_rows = sorted(set(bad) | {i for i in range(m) if lp.relations[i] == EQ and i not in bad}
-                          ) if m else []
         # Equality rows always need a basic artificial (they have no slack),
         # feasible-at-start ones simply carry it at value ~0.
-        self.art_of_row = {i: n + n_slack + k for k, i in enumerate(art_rows)}
-        n_art = len(art_rows)
+        slack_rows = np.flatnonzero(sign)
+        art = bad | (sign == 0)
+        art_rows = np.flatnonzero(art)
+        n_slack, n_art = slack_rows.size, art_rows.size
         N = n + n_slack + n_art
         self.n, self.m, self.N = n, m, N
         self.n_slack, self.n_art = n_slack, n_art
 
-        T = np.zeros((m, N))
-        if m:
-            T[:, :n] = lp.rows
-        lo = np.concatenate([lp.var_lower, np.zeros(n_slack + n_art)])
-        hi = np.concatenate([lp.var_upper, np.full(n_slack + n_art, np.inf)])
-        residual = lp.rhs - (lp.rows @ x0 if m else 0.0) if m else np.zeros(0)
-
         # column n + k is the unit vector unit_sign[k] * e_{unit_row[k]}
-        self.unit_row = np.empty(n_slack + n_art, dtype=int)
-        self.unit_sign = np.empty(n_slack + n_art)
+        self.unit_row = np.concatenate([slack_rows, art_rows])
+        self.unit_sign = np.concatenate(
+            [sign[slack_rows], np.where(residual[art_rows] >= 0, 1.0, -1.0)])
+        T = np.zeros((m, N))
+        T[:, :n] = lp.rows
+        T[self.unit_row, n + np.arange(n_slack + n_art)] = self.unit_sign
+
         basis = np.empty(m, dtype=int)
-        xB = np.empty(m)
-        vstat = np.full(N, _AT_LOWER, dtype=np.int8)
-        vstat[:n] = self.start_status
-        for i in range(m):
-            rel = lp.relations[i]
-            if rel != EQ:
-                self._set_unit(T, i, self.slack_of_row[i], 1.0 if rel == LE else -1.0)
-            if i in self.art_of_row:
-                self._set_unit(T, i, self.art_of_row[i], 1.0 if residual[i] >= 0 else -1.0)
-                basis[i] = self.art_of_row[i]
-                xB[i] = abs(residual[i])
-            else:
-                basis[i] = self.slack_of_row[i]
-                xB[i] = residual[i] if rel == LE else -residual[i]
-            # tableau rows = B^{-1} A with the initial diagonal +-1 basis
-            if self.unit_sign[basis[i] - n] < 0:
-                T[i] = -T[i]
-        vstat[basis] = _BASIC
+        basis[slack_rows] = n + np.arange(n_slack)
+        basis[art_rows] = n + n_slack + np.arange(n_art)
+        xB = np.where(art, np.abs(residual), sign * residual)
+        # tableau rows = B^{-1} A with the initial diagonal +-1 basis
+        flip = self.unit_sign[basis - n] < 0
+        T[flip] = -T[flip]
+
+        dirn = np.ones(N)
+        if at_upper:
+            dirn[:n] = -1.0
+        dirn[basis] = 0.0
 
         self.T = T
-        self.lo, self.hi = lo, hi
-        self.basis, self.vstat, self.xB = basis, vstat, xB
+        self.lo = np.concatenate([lp.var_lower, np.zeros(n_slack + n_art)])
+        self.hi = np.concatenate([lp.var_upper, np.full(n_slack + n_art, np.inf)])
+        self.basis, self.dirn, self.xB = basis, dirn, xB
         self.c_phase2 = np.zeros(N)
-        self.c_phase2[:n] = sgn * lp.objective
+        self.c_phase2[:n] = self.sgn * lp.objective
         self.iterations = 0
-
-    def _set_unit(self, T, i, j, sign):
-        T[i, j] = sign
-        self.unit_row[j - self.n] = i
-        self.unit_sign[j - self.n] = sign
 
     def basis_matrix(self) -> np.ndarray:
         """The basis columns of [lp.rows | unit columns], as an m x m array."""
@@ -340,15 +318,17 @@ class _Tableau:
         return B
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        if self.m:
-            d = c - c[self.basis] @ self.T
-        else:
-            d = c.copy()
+        d = c - c[self.basis] @ self.T
         d[self.basis] = 0.0
         return d
 
     def run(self, c: np.ndarray, max_iterations: int) -> str:
         """Bland-rule primal simplex until optimal for objective c.
+
+        Variables whose bounds coincide (fixed structurals, and artificials
+        pinned after phase 1) get ``dirn`` 0 on entry and never enter.  A
+        bound flip negates ``dirn[q]``.  A basis exchange sets ``dirn[q]`` to
+        0 and the leaving variable's to the bound it stops at.
 
         A basis exchange updates ``T`` in place and touches only the rows
         where the pivot column is nonzero and the columns where the pivot
@@ -357,36 +337,31 @@ class _Tableau:
         each pivot choice matches a full rank-one update.
         """
         T, lo, hi = self.T, self.lo, self.hi
-        basis, vstat, xB = self.basis, self.vstat, self.xB
+        basis, dirn, xB = self.basis, self.dirn, self.xB
         d = self.reduced_costs(c)
-        span_ok = (hi - lo) > 0.0
+        span = hi - lo
+        dirn[span == 0.0] = 0.0
         while True:
-            enter_lo = (vstat == _AT_LOWER) & (d < -REDCOST_TOL) & span_ok
-            enter_hi = (vstat == _AT_UPPER) & (d > REDCOST_TOL) & span_ok
-            cand = enter_lo | enter_hi
-            if not cand.any():
+            cand = dirn * d < -REDCOST_TOL
+            q = int(np.argmax(cand))  # lowest index: Bland's rule
+            if not cand[q]:
                 return "optimal"
             if self.iterations >= max_iterations:
                 return "iteration_limit"
-            q = int(np.argmax(cand))  # lowest index: Bland's rule
-            direction = 1.0 if vstat[q] == _AT_LOWER else -1.0
+            direction = dirn[q]
             col = T[:, q]
             delta = -direction * col  # rate of change of basic values
-            t_own = hi[q] - lo[q]
+            t_own = span[q]
 
-            if self.m:
-                limits = np.full(self.m, np.inf)
-                dec = delta < -PIVOT_TOL
-                inc = delta > PIVOT_TOL
-                limits[dec] = (xB[dec] - lo[basis[dec]]) / (-delta[dec])
-                ub = hi[basis[inc]]
-                room = ub - xB[inc]
-                limits[inc] = np.where(np.isfinite(ub), room / delta[inc], np.inf)
-                np.maximum(limits, 0.0, out=limits)
-                t_rows = float(limits.min()) if limits.size else np.inf
-            else:
-                limits = np.zeros(0)
-                t_rows = np.inf
+            limits = np.full(self.m, np.inf)
+            dec = delta < -PIVOT_TOL
+            inc = delta > PIVOT_TOL
+            limits[dec] = (xB[dec] - lo[basis[dec]]) / (-delta[dec])
+            ub = hi[basis[inc]]
+            room = ub - xB[inc]
+            limits[inc] = np.where(np.isfinite(ub), room / delta[inc], np.inf)
+            np.maximum(limits, 0.0, out=limits)
+            t_rows = float(limits.min(initial=np.inf))
 
             self.iterations += 1
             if t_own <= t_rows:
@@ -394,7 +369,7 @@ class _Tableau:
                     return "unbounded"
                 # bound flip: no basis change, reduced costs unchanged
                 xB += delta * t_own
-                vstat[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+                dirn[q] = -direction
                 continue
             if not np.isfinite(t_rows):
                 return "unbounded"
@@ -403,7 +378,7 @@ class _Tableau:
 
             xB += delta * t_rows
             leaving = basis[r]
-            vstat[leaving] = _AT_LOWER if delta[r] < 0 else _AT_UPPER
+            dirn[leaving] = (1.0 if delta[r] < 0 else -1.0) if span[leaving] else 0.0
             xB[r] = lo[q] + t_rows if direction > 0 else hi[q] - t_rows
             Trow = T[r] / T[r, q]
             rows = col.nonzero()[0]
@@ -412,12 +387,11 @@ class _Tableau:
             T[r] = Trow
             d -= d[q] * Trow
             basis[r] = q
-            vstat[q] = _BASIC
+            dirn[q] = 0.0
             d[q] = 0.0
 
     def nonbasic_values(self) -> np.ndarray:
-        z = np.where(self.vstat == _AT_UPPER, self.hi, self.lo)
-        return z
+        return np.where(self.dirn < 0, self.hi, self.lo)
 
     def refresh_basics(self):
         """Re-solve for basic values from the basis matrix.
@@ -428,8 +402,6 @@ class _Tableau:
         slacks and artificials always sit at zero, so only the structural
         columns enter the right-hand side.
         """
-        if not self.m:
-            return
         z = self.nonbasic_values()
         z[self.basis] = 0.0
         rhs_eff = self.lp.rhs - self.lp.rows @ z[:self.n]
@@ -437,13 +409,10 @@ class _Tableau:
 
     def primal(self) -> np.ndarray:
         z = self.nonbasic_values()
-        if self.m:
-            z[self.basis] = self.xB
+        z[self.basis] = self.xB
         return z[:self.n]
 
     def duals(self) -> np.ndarray:
-        if not self.m:
-            return np.zeros(0)
         y = np.linalg.solve(self.basis_matrix().T, self.c_phase2[self.basis])
         return self.sgn * y  # caller's sense
 
@@ -484,8 +453,7 @@ def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
         status = tab.run(c1, max_iterations)
         if status != "optimal":
             return finish(status if status == "iteration_limit" else "infeasible")
-        art_level = float(sum(tab.xB[i] for i in range(tab.m)
-                              if tab.basis[i] >= tab.n + tab.n_slack))
+        art_level = float(sum(tab.xB[tab.basis >= tab.n + tab.n_slack]))
         if art_level > FEAS_TOL * max(1.0, np.abs(lp.rhs).max(initial=1.0)):
             return finish("infeasible")
         # pin artificials at zero; zero-span variables can never re-enter

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from .lp_core import LpInputError
 
@@ -335,6 +333,9 @@ def offline_optimum(instance: SimInstance) -> float:
     from the source), node n_offline+1+t arrival t (capacity 1 to the sink,
     the last node), with a unit-capacity edge from each neighbor to it.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
     n = instance.n_offline
     sink = n + instance.n_online + 1
     edges = [(0, u, instance.b) for u in range(1, n + 1)]

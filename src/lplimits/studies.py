@@ -47,8 +47,6 @@ class SweepTable:
     family: str
     rows: list
     limit_target: float
-    extrapolated_limit: float | None = None
-    fit_constant: float | None = None
 
     @property
     def sizes(self):
@@ -120,11 +118,8 @@ def limit_estimate(table: SweepTable) -> LimitFit:
     design = np.column_stack([np.ones(ns_f.size), 1.0 / ns_f])
     (L, C), *_ = np.linalg.lstsq(design, vals_f, rcond=None)
     resid = float(np.max(np.abs(design @ np.array([L, C]) - vals_f)))
-    fit = LimitFit(extrapolated_limit=float(L), fit_constant=float(C),
-                   error_bar=resid, target_gap=abs(float(L) - table.limit_target))
-    table.extrapolated_limit = fit.extrapolated_limit
-    table.fit_constant = fit.fit_constant
-    return fit
+    return LimitFit(extrapolated_limit=float(L), fit_constant=float(C),
+                    error_bar=resid, target_gap=abs(float(L) - table.limit_target))
 
 
 def write_sweep_csv(table: SweepTable, path) -> None:

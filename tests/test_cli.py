@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from lplimits.cli import SEED_ENV_VAR, main
 
 INV_E = 1.0 / math.e
@@ -150,6 +152,20 @@ def test_malformed_instance_file_is_json_error(capsys, tmp_path):
                            str(path), "--trials", "400", "--json")
     assert code != 0
     assert json.loads(err)["type"] == "LpInputError"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("simulate", "balance", "--planted", "x"), id="planted"),
+    pytest.param(("sweep", "--family", "toy", "--sizes", "4,a"), id="sizes"),
+    pytest.param(("simulate", "secretary", "--policy-from-lp", "abc"),
+                 id="policy-from-lp"),
+])
+def test_malformed_integer_flag_is_json_error(capsys, args):
+    code, _, err = run_cli(capsys, *args, "--json")
+    assert code != 0
+    payload = json.loads(err)
+    assert payload["type"] == "LpInputError"
+    assert args[-2] in payload["error"]
 
 
 def test_simulate_instance_file(capsys, tmp_path):

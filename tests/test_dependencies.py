@@ -38,10 +38,14 @@ def test_every_import_is_stdlib_local_or_declared():
     assert imported_packages() - allowed == set()
 
 
-def test_offline_optimum_loads_no_graph_library():
-    code = ("import sys, lplimits as L; "
-            "L.offline_optimum(L.triangular_instance(5, 2)); "
-            "print('networkx' in sys.modules)")
+@pytest.mark.parametrize("check", [
+    pytest.param("L.offline_optimum(L.triangular_instance(5, 2)); "
+                 "print('networkx' in sys.modules)", id="offline-optimum-no-networkx"),
+    pytest.param("print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+                 id="import-no-scipy"),
+])
+def test_fresh_interpreter_loads_no_extra_library(check):
+    code = "import sys, lplimits as L; " + check
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lplimits import (
     DenseLp,
@@ -9,12 +12,13 @@ from lplimits import (
     build_toy,
     certify,
     check_feasibility,
+    discretize_profile,
     dump_lp,
     load_lp,
     solve,
 )
 from lplimits.families import FAMILY_KINDS, FamilySpec
-from lplimits.lp_core import GE, LE, MAXIMIZE, MINIMIZE
+from lplimits.lp_core import EQ, GE, LE, MAXIMIZE, MINIMIZE
 
 
 def box_lp(sense, c, rows, rels, rhs, lo=None, hi=None):
@@ -68,6 +72,15 @@ def test_check_feasibility_reports():
     assert rep.worst_row == 0
     with pytest.raises(LpInputError):
         check_feasibility(lp, [1.0, 0.5, 0.0])
+
+
+def test_check_feasibility_rejects_non_finite_x():
+    lp = build_ranking(4)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(LpInputError):
+            check_feasibility(lp, [bad] * 4)
+    with pytest.raises(LpInputError):
+        discretize_profile(lambda t: np.full_like(t, np.nan), FamilySpec("ranking", 8))
 
 
 def test_certify_ranking_small():
@@ -201,27 +214,80 @@ def highs(lp):
     return ref, sgn * ref.fun if ref.status == 0 else None
 
 
-def test_agrees_with_scipy_on_random_boxed_lps(rng):
-    for trial in range(40):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(0, 7))
-        c = rng.integers(-5, 6, size=n).astype(float)
+# Mixed LPs: integer data with arbitrary right-hand sides, whose feasibility
+# is clear-cut, or non-integer, badly scaled data made feasible at an anchor
+# point inside the box, with a slack margin of zero on many rows.
+RELATIONS = (LE, GE, EQ)
+LOWER = (0.0, -2.5, -1.0, 0.5, 3.0)
+SPAN = (0.0, 0.5, 1.0, 4.0)          # 0 makes a fixed variable
+SCALE = (1e-3, 1.0, 1e3)
+ANCHOR = (0.0, 0.25, 0.5, 1.0)       # position of the anchor within each box
+MARGIN = (0.0, 0.0, 0.5, 2.0)
+
+
+def mixed_lp(sense, c, rows, rels, lo, span, rhs=None, anchor=None, margin=None):
+    """A DenseLp; without rhs, each row holds at lo + anchor * span with the
+    given margin (pushed to the feasible side, none on equality rows)."""
+    if rhs is None:
+        sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[r] for r in rels])
+        rhs = rows @ (lo + anchor * span) + sign * margin
+    return box_lp(sense, c, rows, rels, rhs, lo, lo + span)
+
+
+@st.composite
+def mixed_lps(draw):
+    n, m = draw(st.integers(1, 60)), draw(st.integers(0, 60))
+    sense = draw(st.sampled_from((MINIMIZE, MAXIMIZE)))
+    rel_weights = draw(st.sampled_from((RELATIONS, (LE, GE, EQ, EQ, EQ), (EQ,))))
+    rels = draw(st.lists(st.sampled_from(rel_weights), min_size=m, max_size=m))
+    lo = draw(hnp.arrays(float, n, elements=st.sampled_from(LOWER)))
+    span = draw(hnp.arrays(float, n, elements=st.sampled_from(SPAN)))
+    if draw(st.booleans()):
+        rows = draw(hnp.arrays(float, (m, n), elements=st.integers(-4, 4).map(float),
+                               fill=st.just(0.0)))
+        c = draw(hnp.arrays(float, n, elements=st.integers(-5, 5).map(float)))
+        rhs = draw(hnp.arrays(float, m, elements=st.integers(-6, 6).map(float)))
+        return mixed_lp(sense, c, rows, rels, lo, span, rhs=rhs)
+    thousandths = st.integers(-4000, 4000).map(lambda k: k / 1000)
+    rows = draw(hnp.arrays(float, (m, n), elements=thousandths, fill=st.just(0.0)))
+    rows *= draw(hnp.arrays(float, (m, 1), elements=st.sampled_from(SCALE)))
+    c = draw(hnp.arrays(float, n, elements=thousandths)) * draw(st.sampled_from(SCALE))
+    anchor = draw(hnp.arrays(float, n, elements=st.sampled_from(ANCHOR)))
+    margin = draw(hnp.arrays(float, m, elements=st.sampled_from(MARGIN)))
+    return mixed_lp(sense, c, rows, rels, lo, span, anchor=anchor,
+                    margin=margin * np.abs(rows).max(axis=1, initial=0.0))
+
+
+def random_mixed_lp(rng):
+    """A numpy-seeded draw from the same kind of LPs as ``mixed_lps``."""
+    n, m = int(rng.integers(1, 61)), int(rng.integers(0, 61))
+    sense = (MINIMIZE, MAXIMIZE)[int(rng.integers(0, 2))]
+    rels = tuple(RELATIONS[k] for k in rng.choice(3, size=m, p=rng.dirichlet([1, 1, 1])))
+    lo, span = rng.choice(LOWER, n), rng.choice(SPAN, n)
+    if rng.random() < 0.5:
         rows = rng.integers(-4, 5, size=(m, n)).astype(float)
-        rels = [("<=", ">=", "=")[int(rng.integers(0, 3))] for _ in range(m)]
-        rhs = rng.integers(-6, 7, size=m).astype(float)
-        lo = np.zeros(n)
-        hi = rng.integers(1, 4, size=n).astype(float)
-        sense = "minimize" if rng.integers(0, 2) else "maximize"
-        lp = DenseLp(sense=sense, objective=c, rows=rows,
-                     relations=tuple(rels), rhs=rhs, var_lower=lo, var_upper=hi)
-        sol = solve(lp)
-        ref, ref_value = highs(lp)
-        if ref.status == 2:
-            assert sol.status == "infeasible", (trial, sol.status)
-        else:
-            assert ref.status == 0 and sol.status == "optimal", (trial, ref.status)
-            assert sol.objective_value == pytest.approx(ref_value, abs=1e-7)
-            assert certify(lp, sol).passed
+        c = rng.integers(-5, 6, size=n).astype(float)
+        return mixed_lp(sense, c, rows, rels, lo, span,
+                        rhs=rng.integers(-6, 7, size=m).astype(float))
+    rows = rng.integers(-4000, 4001, size=(m, n)) / 1000 * rng.choice(SCALE, (m, 1))
+    rows[rng.random((m, n)) < 0.4] = 0.0
+    c = rng.integers(-4000, 4001, size=n) / 1000 * rng.choice(SCALE)
+    return mixed_lp(sense, c, rows, rels, lo, span, anchor=rng.choice(ANCHOR, n),
+                    margin=rng.choice(MARGIN, m) * np.abs(rows).max(axis=1, initial=0.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(lp=mixed_lps())
+def test_agrees_with_scipy_on_random_boxed_lps(lp):
+    sol = solve(lp)
+    ref, ref_value = highs(lp)
+    if ref.status == 2:
+        assert sol.status == "infeasible"
+    else:
+        assert ref.status == 0 and sol.status == "optimal", (ref.status, sol.status)
+        assert certify(lp, sol).passed
+        assert sol.objective_value == pytest.approx(
+            ref_value, rel=1e-7, abs=1e-7 * np.abs(lp.objective).max())
 
 
 def test_degenerate_cycling_instance_terminates():
@@ -295,3 +361,35 @@ def test_load_lp_rejects_malformed_dump(tmp_path, text):
     path.write_text(text)
     with pytest.raises(LpInputError):
         load_lp(path)
+
+
+# (status, pivots) of 200 seeded mixed LPs: unlike the families, these have
+# equality rows, mixed relations, negative and fixed bounds and scaled rows.
+MIXED_STATUS = (
+    "ioioooiioioooioooiiooooioiooiiioiioioooooooooooiio"
+    "oooooioioiioooiiiiiooiooioiiiioioiioioooiooioiiooi"
+    "iooioiiioooiiioooioiooioioioooiioiooioiiiiiiiiiioo"
+    "iioooioioiiooooooioiiioioooiooioioooooooioiioioioi"
+)
+MIXED_PIVOTS = [
+    25, 1, 48, 413, 164, 279, 36, 67, 69, 130, 64, 226, 84, 15, 3, 280,
+    75, 82, 111, 27, 72, 177, 123, 20, 469, 1, 471, 1, 82, 172, 20, 7,
+    68, 116, 54, 5, 118, 68, 251, 46, 6, 125, 1, 193, 98, 2, 2, 26,
+    16, 19, 126, 18, 122, 28, 50, 106, 177, 36, 10, 30, 19, 152, 109, 28,
+    33, 38, 212, 231, 8, 226, 104, 156, 253, 145, 121, 3, 118, 77, 15, 1,
+    116, 109, 226, 5, 334, 8, 22, 6, 34, 21, 5, 33, 27, 1, 91, 31,
+    113, 617, 346, 4, 273, 17, 297, 112, 1, 245, 4, 158, 192, 355, 31, 117,
+    153, 56, 163, 88, 0, 6, 67, 43, 8, 0, 93, 11, 12, 217, 66, 180,
+    286, 146, 116, 71, 92, 53, 7, 13, 13, 203, 2, 3, 114, 37, 78, 1,
+    35, 11, 23, 217, 3, 118, 140, 125, 57, 108, 235, 212, 211, 15, 11, 1,
+    2, 59, 75, 3, 435, 187, 526, 41, 122, 109, 111, 28, 93, 12, 279, 131,
+    54, 4, 204, 2, 55, 203, 56, 237, 24, 0, 74, 63, 145, 37, 71, 16,
+    77, 96, 242, 34, 61, 22, 68, 95,
+]
+
+
+def test_mixed_pivots_pinned():
+    rng = np.random.default_rng(4096)
+    sols = [solve(random_mixed_lp(rng)) for _ in range(200)]
+    assert "".join(s.status[0] for s in sols) == MIXED_STATUS
+    assert [s.iterations for s in sols] == MIXED_PIVOTS

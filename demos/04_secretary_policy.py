@@ -61,6 +61,6 @@ print(f"K=2 exhaustive search: best {result2.best_value:.6f} over "
 
 # The reconstructed trajectory for the optimal sequence is exactly the
 # secretary optimizer: flat to 1/e, then 1 - (1/e)/t.
-prof = reconstruct_u(IntervalSequence((INV_E, 1.0)))
-print(f"\nu(1/e) = {float(prof.u(INV_E)):.6f}, u(1) = {float(prof.u(1.0)):.6f}, "
+u, _ = reconstruct_u(IntervalSequence((INV_E, 1.0)), [INV_E, 1.0])
+print(f"\nu(1/e) = {u[0]:.6f}, u(1) = {u[1]:.6f}, "
       f"objective {objective_g(IntervalSequence((INV_E, 1.0))):.6f}")

@@ -152,7 +152,7 @@ def _cmd_simulate(args) -> int:
         inst = _load_sim_instance(args)
         run = online_sim.run_balance(inst, n_slabs=args.slabs)
         report = online_sim.SimReport(trials=1, estimate=run.value,
-                                      std_error=0.0, seed=seed, extra=run.stats)
+                                      std_error=0.0, seed=seed)
         audit = online_sim.slab_audit(run.stats, True) if args.planted else None
     elif args.algorithm == "ranking":
         inst = _load_sim_instance(args)

@@ -52,46 +52,27 @@ def objective_g(s: IntervalSequence) -> float:
     return total
 
 
-class IntervalProfile:
-    """The trajectory induced by an interval sequence.
+def reconstruct_u(s: IntervalSequence, t):
+    """The trajectory induced by an interval sequence, and its derivative,
+    at the points t; returns (u, u_dot).
 
     u(t) = 1 - prod_{i<l}(a_i/b_i) * a_l / t on [a_l, b_l], constant between
     intervals (and 0 before the first one), so u is continuous,
     non-decreasing, u(0) = 0, and u + t u' = 1 exactly on every interval.
     """
-
-    def __init__(self, s: IntervalSequence):
-        self.seq = s
-        prefixes = [1.0]
-        for a, b in s.intervals:
-            prefixes.append(prefixes[-1] * a / b)
-        self._prefix = prefixes  # prefix[l] = prod_{i<l} a_i/b_i
-
-    def u(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for l, (a, b) in enumerate(self.seq.intervals):
-            coef = self._prefix[l] * a
-            on = (t >= a) & (t <= b)
-            with np.errstate(divide="ignore"):
-                out = np.where(on, 1.0 - coef / np.where(t > 0, t, 1.0), out)
-            after = t > b
-            out = np.where(after, 1.0 - self._prefix[l + 1], out)
-        return out
-
-    def u_dot(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for l, (a, b) in enumerate(self.seq.intervals):
-            coef = self._prefix[l] * a
-            on = (t >= a) & (t <= b)
-            with np.errstate(divide="ignore"):
-                out = np.where(on, coef / np.where(t > 0, t, 1.0) ** 2, out)
-        return out
-
-
-def reconstruct_u(s: IntervalSequence) -> IntervalProfile:
-    return IntervalProfile(s)
+    t = np.asarray(t, dtype=float)
+    tt = np.where(t > 0, t, 1.0)
+    u = np.zeros_like(t)
+    u_dot = np.zeros_like(t)
+    prefix = 1.0   # prod_{i<l} a_i/b_i
+    for a, b in s.intervals:
+        coef = prefix * a
+        on = (t >= a) & (t <= b)
+        u = np.where(on, 1.0 - coef / tt, u)
+        u_dot = np.where(on, coef / tt ** 2, u_dot)
+        prefix = prefix * a / b
+        u = np.where(t > b, 1.0 - prefix, u)
+    return u, u_dot
 
 
 @dataclass(frozen=True)
@@ -118,8 +99,7 @@ def _pair_table(grid: np.ndarray, min_sep: float):
     a = grid[:, None]
     b = grid[None, :]
     ok = (b - a) >= min_sep - 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(ok, a * np.log(np.where(b > a, b / a, 1.0)), -np.inf)
+    val = np.where(ok, a * np.log(np.where(b > a, b / a, 1.0)), -np.inf)
     return ok, val
 
 
@@ -175,45 +155,28 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
                             best_value=best, grid_points_evaluated=evaluated)
 
     # K = 2: for each first interval, the best admissible second interval
-    # depends only on the earliest allowed a_2; precompute suffix maxima of
-    # the pair table over a_2.
-    best_from = np.full(m + 1, -np.inf)   # best pair value with a_2 index >= k
-    arg_from = np.full((m + 1, 2), -1, dtype=int)
+    # depends only on the earliest allowed a_2; take suffix maxima of the
+    # pair table over a_2.  Ties keep the first (a_1, b_1) in row-major
+    # order and, for the second interval, the latest a_2.
     row_best = val.max(axis=1)
-    row_arg = val.argmax(axis=1)
-    for k in range(m - 1, -1, -1):
-        if row_best[k] > best_from[k + 1]:
-            best_from[k] = row_best[k]
-            arg_from[k] = (k, row_arg[k])
-        else:
-            best_from[k] = best_from[k + 1]
-            arg_from[k] = arg_from[k + 1]
+    best_from = np.append(np.maximum.accumulate(row_best[::-1])[::-1], -np.inf)
     pair_counts = ok.sum(axis=1)
     counts_from = np.concatenate([np.cumsum(pair_counts[::-1])[::-1], [0]])
-
-    best = -np.inf
-    best_pts = None
-    evaluated = 0
-    sep_steps = math.ceil(min_separation / resolution)
-    for ia in range(m):
-        for ib in range(ia, m):
-            if not ok[ia, ib]:
-                continue
-            k2 = ib + sep_steps  # earliest a_2 index with a_2 >= b_1 + sep
-            if k2 > m - 1:
-                continue
-            evaluated += int(counts_from[k2])
-            if counts_from[k2] == 0:
-                continue
-            total = val[ia, ib] + (grid[ia] / grid[ib]) * best_from[k2]
-            if total > best:
-                best = total
-                ja, jb = arg_from[k2]
-                best_pts = (grid[ia], grid[ib], grid[ja], grid[jb])
-    if best_pts is None:
+    # earliest a_2 index with a_2 >= b_1 + sep, for each b_1; m means none
+    k2 = np.minimum(np.arange(m) + math.ceil(min_separation / resolution), m)
+    evaluated = int(ok.sum(axis=0) @ counts_from[k2])
+    total = val + (grid[:, None] / grid[None, :]) * best_from[k2]
+    flat = int(np.argmax(total))
+    best = total.flat[flat]
+    if best == -np.inf:
         raise LpInputError("no admissible K=2 sequence at this resolution")
+    ia, ib = divmod(flat, m)
+    k = k2[ib]
+    ja = k + int(np.flatnonzero(row_best[k:] == best_from[k])[-1])
+    jb = int(np.argmax(val[ja]))
     return SearchResult(K=2, resolution=resolution,
                         min_separation=min_separation,
-                        best_s=IntervalSequence(best_pts),
+                        best_s=IntervalSequence((grid[ia], grid[ib],
+                                                 grid[ja], grid[jb])),
                         best_value=float(best),
                         grid_points_evaluated=evaluated)

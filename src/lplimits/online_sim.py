@@ -92,7 +92,6 @@ class SimReport:
     estimate: float
     std_error: float
     seed: int
-    extra: SlabStats | None = None
 
 
 @dataclass(frozen=True)
@@ -197,15 +196,14 @@ def run_ranking(instance: SimInstance, trials: int,
     return _report(total, total_sq, trials, seed)
 
 
-def _report(total, total_sq, trials, seed, extra=None) -> SimReport:
+def _report(total, total_sq, trials, seed) -> SimReport:
     mean = total / trials
     if trials > 1:
         var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
         se = (var / trials) ** 0.5
     else:
         se = 0.0
-    return SimReport(trials=trials, estimate=mean, std_error=se, seed=seed,
-                     extra=extra)
+    return SimReport(trials=trials, estimate=mean, std_error=se, seed=seed)
 
 
 def secretary_policy_from_lp(x) -> PolicyTable:

@@ -23,7 +23,6 @@ class ContinuumProfile:
 
     tag: str
     fn: Callable[[np.ndarray], np.ndarray]
-    threshold: float | None = None      # secretary profiles switch at 1/e
     family: str | None = None           # family a g-profile discretizes into
     continuum_objective: float | None = None
 
@@ -49,15 +48,13 @@ def _balance_v(t):
 
 def _secretary_u(t):
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        vals = 1.0 - INV_E / np.where(t > 0, t, 1.0)
+    vals = 1.0 - INV_E / np.where(t > 0, t, 1.0)
     return np.where(t > INV_E, vals, 0.0)
 
 
 def _secretary_g(t):
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        vals = INV_E / np.where(t > 0, t, 1.0)
+    vals = INV_E / np.where(t > 0, t, 1.0)
     return np.where(t > INV_E, vals, 0.0)  # 0 at the threshold: left-closed
 
 
@@ -70,9 +67,9 @@ BALANCE_V = ContinuumProfile("BalanceV", _balance_v)
 RANKING_G = ContinuumProfile("RankingG", _exp_neg, family="ranking",
                              continuum_objective=1.0 - INV_E)
 RANKING_U = ContinuumProfile("RankingU", _one_minus_exp_neg)
-SECRETARY_G = ContinuumProfile("SecretaryG", _secretary_g, threshold=INV_E,
-                               family="secretary", continuum_objective=INV_E)
-SECRETARY_U = ContinuumProfile("SecretaryU", _secretary_u, threshold=INV_E)
+SECRETARY_G = ContinuumProfile("SecretaryG", _secretary_g, family="secretary",
+                               continuum_objective=INV_E)
+SECRETARY_U = ContinuumProfile("SecretaryU", _secretary_u)
 
 PROFILES = {p.tag: p for p in (
     TOY_G, BALANCE_G, BALANCE_U, BALANCE_V, RANKING_G, RANKING_U,
@@ -255,16 +252,13 @@ def _segment_derivative(t: np.ndarray, y: np.ndarray, runs) -> np.ndarray:
     (first-order for two-point runs, adjacent slope for singletons).
     """
     dy = np.empty_like(y)
-    n = t.size
     for a, b in runs:  # run covers indices a..b inclusive
         ln = b - a + 1
         if ln == 1:
             if a > 0:
                 dy[a] = (y[a] - y[a - 1]) / (t[a] - t[a - 1])
-            elif n > 1:
-                dy[a] = (y[a + 1] - y[a]) / (t[a + 1] - t[a])
             else:
-                dy[a] = 0.0
+                dy[a] = (y[a + 1] - y[a]) / (t[a + 1] - t[a])
             continue
         if ln == 2:
             s = (y[b] - y[a]) / (t[b] - t[a])
@@ -284,13 +278,9 @@ def _segment_derivative(t: np.ndarray, y: np.ndarray, runs) -> np.ndarray:
 
 def _runs_of(mask: np.ndarray):
     """Maximal runs of constant mask value, as (start, stop, value)."""
-    out = []
-    start = 0
-    for k in range(1, mask.size + 1):
-        if k == mask.size or mask[k] != mask[start]:
-            out.append((start, k - 1, bool(mask[start])))
-            start = k
-    return out
+    starts = np.flatnonzero(np.diff(mask, prepend=~mask[0]))
+    stops = np.append(starts[1:] - 1, mask.size - 1)
+    return [(int(a), int(b), bool(mask[a])) for a, b in zip(starts, stops)]
 
 
 def multiplier_check(grid, u_candidate, tol: float = 1e-6):
@@ -321,7 +311,8 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     slope_in[1:] = du / np.diff(t)
     slope_in[0] = slope_in[1]
     active = slope_in > ACTIVITY_THRESHOLD
-    runs = [(a, b) for a, b, _ in _runs_of(active)]
+    run_list = _runs_of(active)
+    runs = [(a, b) for a, b, _ in run_list]
 
     u_dot = _segment_derivative(t, u, runs)
     w_sq = u_dot.copy()
@@ -329,7 +320,6 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
 
     mu1 = np.where(active, -np.log(t) - 1.0, 0.0)
     mu2 = np.where(active, t * (1.0 + mu1), 0.0)
-    run_list = _runs_of(active)
     for idx, (a, b, is_active) in enumerate(run_list):
         if is_active:
             continue
@@ -337,8 +327,6 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
             mu2[a:b + 1] = mu2[run_list[idx - 1][1]]   # carry from the left
         elif idx + 1 < len(run_list):
             mu2[a:b + 1] = mu2[run_list[idx + 1][0]]   # lead-in: match ahead
-        else:
-            mu2[a:b + 1] = 0.0                          # never active at all
 
     mu2_dot = _segment_derivative(t, mu2, runs)
     res_stat = float(np.max(np.abs(mu2_dot - mu1)))

@@ -228,3 +228,26 @@ def test_multiplier_check_rejects_decreasing():
         multiplier_check(t[::-1], t)
     with pytest.raises(LpInputError):
         multiplier_check(np.linspace(-0.5, 1.0, 50), np.zeros(50))
+
+
+def test_multiplier_carry_across_runs():
+    # flat below 0.3, slope 1 up to 0.5, flat on [0.5, 0.7), slope 1 again
+    t = np.arange(1, 1001) / 1000
+    u = np.where(t < 0.5, np.clip(t - 0.3, 0.0, None), 0.2)
+    u = np.where(t >= 0.7, 0.2 + (t - 0.7), u)
+    prof, rep = multiplier_check(t, u)
+    starts = np.flatnonzero(np.diff(rep.active)) + 1
+    assert starts.tolist() == [300, 500, 700]
+    assert not rep.active[0] and rep.active[300]
+    assert not rep.active[500] and rep.active[700]
+    mu2 = prof.mu2
+    assert np.all(mu2[:300] == mu2[300])       # lead-in matches ahead
+    assert np.all(mu2[500:700] == mu2[499])    # carry from the left
+    assert np.all(prof.mu1[~rep.active] == 0.0)
+
+
+def test_multiplier_constant_candidate_has_zero_multipliers():
+    t = np.arange(1, 1001) / 1000
+    prof, rep = multiplier_check(t, np.full(t.size, 0.25))
+    assert not rep.active.any()
+    assert np.all(prof.mu1 == 0.0) and np.all(prof.mu2 == 0.0)

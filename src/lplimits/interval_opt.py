@@ -104,25 +104,14 @@ def _pair_table(grid: np.ndarray, min_sep: float):
 
 
 def _refine_k1(a: float, b: float, resolution: float, min_sep: float):
-    """Coordinate ascent around a K=1 grid argmax; each sweep solves the two
-    bounded one-dimensional problems by scalar minimization."""
-    from scipy.optimize import minimize_scalar
-
-    def g1(aa, bb):
-        return aa * math.log(bb / aa)
-
+    """Coordinate ascent around a K=1 grid argmax.  For fixed b, a*ln(b/a)
+    is concave in a and peaks at a = b/e; for fixed a it rises in b.  So each
+    step takes the closed-form maximizer, clipped to its bracket."""
     for _ in range(4):
-        lo_a = max(resolution / 10, a - resolution)
-        hi_a = min(b - min_sep, a + resolution)
-        res = minimize_scalar(lambda z: -g1(z, b), bounds=(lo_a, hi_a),
-                              method="bounded", options={"xatol": 1e-12})
-        a = float(res.x)
-        lo_b = max(a + min_sep, b - resolution)
-        hi_b = min(1.0, b + resolution)
-        res = minimize_scalar(lambda z: -g1(a, z), bounds=(lo_b, hi_b),
-                              method="bounded", options={"xatol": 1e-12})
-        b = float(res.x)
-    return a, b, g1(a, b)
+        a = min(max(b / math.e, resolution / 10, a - resolution),
+                b - min_sep, a + resolution)
+        b = min(1.0, b + resolution)
+    return a, b, a * math.log(b / a)
 
 
 def search_best(K: int, resolution: float, min_separation: float) -> SearchResult:
@@ -146,6 +135,8 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
     if K == 1:
         evaluated = int(ok.sum())
         flat = int(np.argmax(val))
+        if val.flat[flat] == -np.inf:
+            raise LpInputError("no admissible K=1 sequence at this resolution")
         ia, ib = divmod(flat, m)
         a, b, best = _refine_k1(float(grid[ia]), float(grid[ib]),
                                 resolution, min_separation)

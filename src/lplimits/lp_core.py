@@ -27,7 +27,8 @@ import numpy as np
 
 # Tolerances: coefficients in this package are O(1) and mildly conditioned.
 FEAS_TOL = 1e-9       # absolute primal feasibility
-PIVOT_TOL = 1e-10     # minimum magnitude of an eligible pivot / ratio-test entry
+PIVOT_TOL = 1e-10     # a ratio-test entry is eligible above PIVOT_TOL times
+                      # min(1, largest |entry| of its column)
 REDCOST_TOL = 1e-9    # reduced-cost threshold for entering candidates
 CERT_TOL = 1e-8       # relative duality-gap tolerance for certificates
 
@@ -353,14 +354,15 @@ class _Tableau:
             delta = -direction * col  # rate of change of basic values
             t_own = span[q]
 
-            limits = np.full(self.m, np.inf)
-            dec = delta < -PIVOT_TOL
-            inc = delta > PIVOT_TOL
-            limits[dec] = (xB[dec] - lo[basis[dec]]) / (-delta[dec])
-            ub = hi[basis[inc]]
-            room = ub - xB[inc]
-            limits[inc] = np.where(np.isfinite(ub), room / delta[inc], np.inf)
-            np.maximum(limits, 0.0, out=limits)
+            # ratio test over the eligible nonzero rows only: each stops
+            # where its basic variable reaches the bound it moves toward
+            rows = col.nonzero()[0]
+            de = delta[rows]
+            mag = np.abs(de)
+            eligible = mag > PIVOT_TOL * min(1.0, mag.max(initial=0.0))
+            er, de = rows[eligible], de[eligible]
+            stop = np.where(de < 0, lo[basis[er]], hi[basis[er]])
+            limits = np.maximum((stop - xB[er]) / de, 0.0)
             t_rows = float(limits.min(initial=np.inf))
 
             self.iterations += 1
@@ -371,9 +373,7 @@ class _Tableau:
                 xB += delta * t_own
                 dirn[q] = -direction
                 continue
-            if not np.isfinite(t_rows):
-                return "unbounded"
-            ties = np.nonzero(limits <= t_rows + 1e-12)[0]
+            ties = er[limits <= t_rows + 1e-12]
             r = int(ties[np.argmin(basis[ties])])  # Bland: lowest leaving index
 
             xB += delta * t_rows
@@ -381,7 +381,6 @@ class _Tableau:
             dirn[leaving] = (1.0 if delta[r] < 0 else -1.0) if span[leaving] else 0.0
             xB[r] = lo[q] + t_rows if direction > 0 else hi[q] - t_rows
             Trow = T[r] / T[r, q]
-            rows = col.nonzero()[0]
             cols = Trow.nonzero()[0]
             T[rows[:, None], cols] -= np.outer(col[rows], Trow[cols])
             T[r] = Trow

@@ -65,7 +65,7 @@ class LimitFit:
     target_gap: float       # |extrapolated - limit_target|
 
 
-def _sweep_entry(kind, n, oracle, certificates, max_iterations) -> SweepRow:
+def _sweep_entry(kind, n, oracle, certificates) -> SweepRow:
     t0 = time.perf_counter()
     if n > families.SIMPLEX_SIZE_CAP:
         if oracle is None:
@@ -74,7 +74,7 @@ def _sweep_entry(kind, n, oracle, certificates, max_iterations) -> SweepRow:
         value, status = oracle(n), "optimal"
     else:
         lp = families._BUILDERS[kind](n)
-        sol = solve(lp, max_iterations=max_iterations)
+        sol = solve(lp)
         if sol.status != "optimal":
             raise SweepError(kind, n, sol.status)
         if certificates and not certify(lp, sol, CERT_TOL).passed:
@@ -86,8 +86,7 @@ def _sweep_entry(kind, n, oracle, certificates, max_iterations) -> SweepRow:
     return SweepRow(n=n, value=value, status=status, ms=ms)
 
 
-def sweep_family(kind: str, sizes, certificates: bool = False,
-                 max_iterations: int | None = None) -> SweepTable:
+def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     """One solve (or recurrence-oracle evaluation) per size, ascending.
 
     Sizes beyond the simplex cap use the tight-recurrence oracle (toy and
@@ -101,8 +100,7 @@ def sweep_family(kind: str, sizes, certificates: bool = False,
     if not sizes or sizes[0] < 1:
         raise LpInputError("sizes must be positive")
     oracle = _ORACLES.get(kind)
-    rows = [_sweep_entry(kind, n, oracle, certificates, max_iterations)
-            for n in sizes]
+    rows = [_sweep_entry(kind, n, oracle, certificates) for n in sizes]
     return SweepTable(family=kind, rows=rows, limit_target=LIMIT_TARGETS[kind])
 
 

@@ -43,6 +43,9 @@ def test_every_import_is_stdlib_local_or_declared():
                  "print('networkx' in sys.modules)", id="offline-optimum-no-networkx"),
     pytest.param("print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
                  id="import-no-scipy"),
+    pytest.param("L.search_best(1, 1e-2, 1e-2); "
+                 "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+                 id="k1-search-no-scipy"),
 ])
 def test_fresh_interpreter_loads_no_extra_library(check):
     code = "import sys, lplimits as L; " + check

@@ -92,11 +92,10 @@ def test_objective_equals_quadrature_random(rng):
 
 
 def test_search_k1_refined():
+    # the closed-form steps land exactly on a = b/e with b = 1
     res = search_best(1, 1e-3, 1e-2)
-    a, b = res.best_s.points
-    assert abs(a - INV_E) <= 1e-3
-    assert abs(b - 1.0) <= 1e-3
-    assert abs(res.best_value - INV_E) <= 1e-6
+    assert res.best_s.points == (INV_E, 1.0)
+    assert res.best_value == pytest.approx(INV_E, abs=1e-15)
     assert res.grid_points_evaluated > 0
 
 
@@ -105,6 +104,12 @@ def test_search_k1_pinned_b_stationarity():
     res = search_best(1, 1e-3, 1e-3)
     assert res.best_s.points[1] == pytest.approx(1.0, abs=1e-6)
     assert res.best_s.points[0] == pytest.approx(INV_E, abs=1e-6)
+
+
+def test_search_k1_separation_binds():
+    # a separation of 0.7 caps a at b - min_sep, below 1/e
+    res = search_best(1, 1e-2, 0.7)
+    assert res.best_s.points == (1.0 - 0.7, 1.0)
 
 
 def test_search_k2_strictly_below_single_interval():
@@ -190,3 +195,5 @@ def test_search_validation():
         search_best(1, 0.05, 0.05)
     with pytest.raises(LpInputError):
         search_best(1, 1e-2, 1e-3)
+    with pytest.raises(LpInputError, match="no admissible K=1 sequence"):
+        search_best(1, 1e-2, 1.0)

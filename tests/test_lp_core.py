@@ -304,6 +304,20 @@ def test_degenerate_cycling_instance_terminates():
     assert certify(lp, sol).passed
 
 
+def test_badly_scaled_column_is_not_unbounded():
+    # the entering slack's only tableau entry is -1e-11, below an absolute
+    # PIVOT_TOL; the column-relative tolerance still lets it limit the step
+    lp = box_lp(MAXIMIZE, [1000.0, 0.0], [[1e11, 0.0], [0.0, 1.0]], [GE, LE],
+                [1.0, 0.5])
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert np.array_equal(sol.x, [1.0, 0.0])
+    assert certify(lp, sol).passed
+    ref, ref_value = highs(lp)
+    assert ref.status == 0
+    assert sol.objective_value == pytest.approx(ref_value, rel=1e-12)
+
+
 def test_dump_load_roundtrip(tmp_path):
     lp = build_balance(5)
     path = tmp_path / "balance5.lp"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +173,11 @@ def test_ranking_reproducible_and_seed_consistent():
     assert spread <= 4 * math.hypot(a.std_error, c.std_error)
 
 
+# six offline vertices; arrivals 2 and 5 have no neighbor
+EMPTY_ARRIVALS = SimInstance(6, 1, ((1, 2), (), (3,), (1, 2, 3, 4, 5, 6), (), (6,),
+                                    (2, 3)))
+
+
 def test_block_streams_pinned():
     # 10_000 trials: two full blocks and a partial third
     assert list(_blocks(10_000)) == [(0, 4096), (1, 4096), (2, 1808)]
@@ -180,6 +187,46 @@ def test_block_streams_pinned():
     threshold = PolicyTable(n=n, accept_prob=np.r_[np.zeros(k), np.ones(n - k)],
                             reachable=np.ones(n, dtype=bool))
     assert run_secretary(threshold, 10_000, seed=6).estimate == 0.3814
+    # (instance, seed, trials) -> (estimate, std_error); 5000 trials end in a
+    # partial block of 904
+    for inst, seed, trials, estimate, std_error in [
+        (triangular_instance(30, 1), 0, 1, 20.0, 0.0),
+        (triangular_instance(30, 1), 9, 1, 18.0, 0.0),
+        (triangular_instance(30, 1), 1, 5000, 19.2156, 0.01536068091275971),
+        (triangular_instance(30, 1), 2, 5000, 19.2262, 0.015556834993757634),
+        (planted_instance(40, 1, seed=2), 1, 1, 35.0, 0.0),
+        (planted_instance(40, 1, seed=2), 9, 5000, 34.7144, 0.016699170651864843),
+        (EMPTY_ARRIVALS, 1, 1, 5.0, 0.0),
+        (EMPTY_ARRIVALS, 0, 5000, 4.1474, 0.00918866335801141),
+        (EMPTY_ARRIVALS, 2, 5000, 4.1624, 0.00924458438590366),
+    ]:
+        rep = run_ranking(inst, trials, seed=seed)
+        assert (rep.estimate, rep.std_error) == (estimate, std_error)
+
+
+def exact_ranking_value(inst):
+    """E[RANKING] as a fraction, averaged over all n! priority orders."""
+    total = 0
+    orders = list(itertools.permutations(range(inst.n_offline)))
+    for rank in orders:
+        free = set(range(1, inst.n_offline + 1))
+        for nb in inst.arrivals:
+            avail = [u for u in nb if u in free]
+            if avail:
+                free.remove(min(avail, key=lambda u: rank[u - 1]))
+                total += 1
+    return Fraction(total, len(orders))
+
+
+@pytest.mark.parametrize("inst,exact", [
+    pytest.param(triangular_instance(6, 1), Fraction(2921, 720), id="triangular-6"),
+    pytest.param(EMPTY_ARRIVALS, Fraction(83, 20), id="empty-arrivals"),
+])
+def test_ranking_matches_exact_expectation(inst, exact):
+    assert exact_ranking_value(inst) == exact
+    for seed in range(3):
+        rep = run_ranking(inst, trials=20_000, seed=seed)
+        assert abs(rep.estimate - float(exact)) <= 4 * rep.std_error
 
 
 def test_ranking_triangular_near_limit():

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lplimits import LpInputError, limit_estimate, sweep_family, write_sweep_csv
+from lplimits import (
+    LpInputError,
+    limit_estimate,
+    solve,
+    studies,
+    sweep_family,
+    write_sweep_csv,
+)
 from lplimits.studies import CSV_HEADER, SweepError, SweepRow, SweepTable
 
 INV_E = 1.0 / math.e
@@ -39,9 +46,10 @@ def test_sweep_rejects_oversize_without_oracle():
         sweep_family("toy", [])
 
 
-def test_sweep_aborts_on_non_optimal():
+def test_sweep_aborts_on_non_optimal(monkeypatch):
+    monkeypatch.setattr(studies, "solve", lambda lp: solve(lp, max_iterations=1))
     with pytest.raises(SweepError) as err:
-        sweep_family("balance", [2, 16], max_iterations=1)
+        sweep_family("balance", [2, 16])
     assert err.value.size == 16
     assert err.value.status == "iteration_limit"
 

@@ -44,11 +44,12 @@ def _cmd_solve(args) -> int:
         "status": sol.status,
         "objective": sol.objective_value,
         "iterations": sol.iterations,
-        "duality_gap": sol.duality_gap,
-        "max_primal_violation": sol.max_primal_violation,
     }
     if sol.status == "optimal":
-        payload["certified"] = bool(certify(lp, sol).passed)
+        cert = certify(lp, sol)
+        payload["duality_gap"] = cert.gap
+        payload["max_primal_violation"] = cert.primal_feasibility
+        payload["certified"] = bool(cert.passed)
     if args.json:
         print(json.dumps(payload))
     else:

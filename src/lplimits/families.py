@@ -14,8 +14,14 @@ from .lp_core import FAMILY_TAGS, GE, LE, MAXIMIZE, MINIMIZE, DenseLp, LpInputEr
 
 FAMILY_KINDS = FAMILY_TAGS
 
-# The limit constants every family converges to: 1/e and 1 - 1/e.
+# The limit every family's LP value converges to: 1/e or 1 - 1/e.
 INV_E = 1.0 / np.e
+LIMIT_TARGETS = {
+    "toy": 1.0 - INV_E,
+    "balance": INV_E,
+    "ranking": 1.0 - INV_E,
+    "secretary": INV_E,
+}
 
 # Dense-tableau simplex memory/time budget; recurrence oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM

@@ -79,7 +79,6 @@ def reconstruct_u(s: IntervalSequence, t):
 class SearchResult:
     K: int
     resolution: float
-    min_separation: float
     best_s: IntervalSequence
     best_value: float
     grid_points_evaluated: int
@@ -125,8 +124,8 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
         raise LpInputError("exhaustive search supports K in {1, 2}")
     if not 0 < resolution <= 1e-2:
         raise LpInputError("resolution must be in (0, 1e-2]")
-    if min_separation < resolution:
-        raise LpInputError("min_separation must be >= resolution")
+    if not resolution <= min_separation < math.inf:
+        raise LpInputError("min_separation must be finite and >= resolution")
 
     m = round(1.0 / resolution)
     grid = np.arange(1, m + 1) / m
@@ -141,7 +140,6 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
         a, b, best = _refine_k1(float(grid[ia]), float(grid[ib]),
                                 resolution, min_separation)
         return SearchResult(K=1, resolution=resolution,
-                            min_separation=min_separation,
                             best_s=IntervalSequence((a, b)),
                             best_value=best, grid_points_evaluated=evaluated)
 
@@ -166,7 +164,6 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
     ja = k + int(np.flatnonzero(row_best[k:] == best_from[k])[-1])
     jb = int(np.argmax(val[ja]))
     return SearchResult(K=2, resolution=resolution,
-                        min_separation=min_separation,
                         best_s=IntervalSequence((grid[ia], grid[ib],
                                                  grid[ja], grid[jb])),
                         best_value=float(best),

@@ -114,9 +114,7 @@ class LpSolution:
     status: str                 # optimal | infeasible | unbounded | iteration_limit
     x: np.ndarray
     objective_value: float
-    dual: np.ndarray            # one multiplier per row, caller's sense
-    max_primal_violation: float
-    duality_gap: float          # |primal objective - dual objective|, absolute
+    dual: np.ndarray            # one multiplier per row, caller's sense; 0 unless optimal
     iterations: int
 
 
@@ -182,13 +180,22 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
     )
 
 
-def _dual_report(lp: DenseLp, x: np.ndarray, y: np.ndarray):
-    """Dual objective, dual sign residual and complementarity residual.
+def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:
+    """Independent optimality certificate from strong duality.
 
-    y is in the caller's sense: for maximization, binding <= rows carry
-    nonnegative multipliers (shadow prices), and symmetrically for
+    Recomputes primal feasibility, dual sign feasibility, the complementary
+    slackness residual and |primal - dual| objective gap from scratch; the
+    certificate passes iff all are within tol scaled by (1 + |objective|).
+
+    The duals are in the caller's sense: for maximization, binding <= rows
+    carry nonnegative multipliers (shadow prices), and symmetrically for
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
     """
+    if sol.status != "optimal":
+        raise LpInputError(f"certificate refused: solution status is {sol.status!r}")
+    x, y = sol.x, sol.dual
+    feas = check_feasibility(lp, x, tol)
+    primal_obj = float(lp.objective @ x)
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
     d_int = sgn * (lp.objective - lp.rows.T @ y)  # internal-min reduced costs
     pos = np.maximum(d_int, 0.0)
@@ -206,21 +213,6 @@ def _dual_report(lp: DenseLp, x: np.ndarray, y: np.ndarray):
                              neg * np.abs(lp.var_upper - x))
     comp = max(float(np.max(comp_rows, initial=0.0)),
                float(np.max(comp_bounds, initial=0.0)))
-    return dual_obj, dual_infeas, comp
-
-
-def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:
-    """Independent optimality certificate from strong duality.
-
-    Recomputes primal feasibility, dual sign feasibility, the complementary
-    slackness residual and |primal - dual| objective gap from scratch; the
-    certificate passes iff all are within tol scaled by (1 + |objective|).
-    """
-    if sol.status != "optimal":
-        raise LpInputError(f"certificate refused: solution status is {sol.status!r}")
-    feas = check_feasibility(lp, sol.x, tol)
-    primal_obj = float(lp.objective @ sol.x)
-    dual_obj, dual_infeas, comp = _dual_report(lp, sol.x, sol.dual)
     gap = abs(primal_obj - dual_obj)
     scale = 1.0 + abs(primal_obj)
     passed = (feas.max_violation <= tol * scale
@@ -389,31 +381,29 @@ class _Tableau:
             dirn[q] = 0.0
             d[q] = 0.0
 
-    def nonbasic_values(self) -> np.ndarray:
-        return np.where(self.dirn < 0, self.hi, self.lo)
+    def solution(self, status: str) -> LpSolution:
+        """The solution at the current basis, reported with ``status``.
 
-    def refresh_basics(self):
-        """Re-solve for basic values from the basis matrix.
-
-        Removes the drift accumulated by the in-place tableau updates; called
-        once at termination so feasibility and duality residuals reach
-        tolerance.  B comes from ``basis_matrix``, not from ``T``.  Nonbasic
-        slacks and artificials always sit at zero, so only the structural
-        columns enter the right-hand side.
+        At an optimum the basic values are re-solved from the basis matrix,
+        which removes the drift of the in-place tableau updates, and the
+        duals come from its transpose; B is built once by ``basis_matrix``,
+        not taken from ``T``.  Nonbasic slacks and artificials always sit at
+        zero, so only the structural columns enter the right-hand side.
+        Any other status keeps the tableau's basic values and zero duals.
         """
-        z = self.nonbasic_values()
-        z[self.basis] = 0.0
-        rhs_eff = self.lp.rhs - self.lp.rows @ z[:self.n]
-        self.xB[:] = np.linalg.solve(self.basis_matrix(), rhs_eff)
-
-    def primal(self) -> np.ndarray:
-        z = self.nonbasic_values()
-        z[self.basis] = self.xB
-        return z[:self.n]
-
-    def duals(self) -> np.ndarray:
-        y = np.linalg.solve(self.basis_matrix().T, self.c_phase2[self.basis])
-        return self.sgn * y  # caller's sense
+        lp, n, basis = self.lp, self.n, self.basis
+        z = np.where(self.dirn < 0, self.hi, self.lo)
+        if status == "optimal":
+            z[basis] = 0.0
+            B = self.basis_matrix()
+            self.xB[:] = np.linalg.solve(B, lp.rhs - lp.rows @ z[:n])
+            y = self.sgn * np.linalg.solve(B.T, self.c_phase2[basis])
+        else:
+            y = np.zeros(self.m)
+        z[basis] = self.xB
+        x = z[:n]
+        return LpSolution(status=status, x=x, objective_value=float(lp.objective @ x),
+                          dual=y, iterations=self.iterations)
 
 
 def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
@@ -421,46 +411,27 @@ def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
 
     Runs phase 1 only when the cheaper of the two bound corners is infeasible.
     Exceeding the iteration cap is reported as status ``iteration_limit``,
-    never silently.
+    never silently.  ``certify`` reports the feasibility and duality gap of
+    an optimum.
     """
     tab = _Tableau(lp)
     if max_iterations is None:
         max_iterations = 50 * (tab.m + tab.N) + 5000
-
-    def finish(status):
-        if status == "optimal":
-            tab.refresh_basics()
-        x = tab.primal()
-        obj = float(lp.objective @ x)
-        if status == "optimal":
-            y = tab.duals()
-            feas = check_feasibility(lp, x, FEAS_TOL)
-            dual_obj, _, _ = _dual_report(lp, x, y)
-            gap = abs(obj - dual_obj)
-            viol = feas.max_violation
-        else:
-            y = np.zeros(lp.n_rows)
-            gap = np.inf
-            viol = check_feasibility(lp, x, FEAS_TOL).max_violation
-        return LpSolution(status=status, x=x, objective_value=obj, dual=y,
-                          max_primal_violation=viol, duality_gap=gap,
-                          iterations=tab.iterations)
 
     if tab.n_art:
         c1 = np.zeros(tab.N)
         c1[tab.n + tab.n_slack:] = 1.0
         status = tab.run(c1, max_iterations)
         if status != "optimal":
-            return finish(status if status == "iteration_limit" else "infeasible")
+            return tab.solution(status if status == "iteration_limit" else "infeasible")
         art_level = float(sum(tab.xB[tab.basis >= tab.n + tab.n_slack]))
         if art_level > FEAS_TOL * max(1.0, np.abs(lp.rhs).max(initial=1.0)):
-            return finish("infeasible")
+            return tab.solution("infeasible")
         # pin artificials at zero; zero-span variables can never re-enter
         tab.hi[tab.n + tab.n_slack:] = 0.0
         tab.lo[tab.n + tab.n_slack:] = 0.0
 
-    status = tab.run(tab.c_phase2, max_iterations)
-    return finish(status)
+    return tab.solution(tab.run(tab.c_phase2, max_iterations))
 
 
 def dump_lp(lp: DenseLp, path) -> None:

@@ -25,7 +25,10 @@ DEFAULT_TRIALS = 100_000
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Independent substream for one trial block; streams are spaced 2^128
-    Philox counters apart."""
+    Philox counters apart.  The seed is the Philox key, so it must lie in
+    [0, 2^128)."""
+    if not 0 <= seed < 1 << 128:
+        raise LpInputError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
 
 
@@ -310,7 +313,7 @@ def planted_instance(n: int, b: int, extra_degree: int = 2,
     """Random instance with a planted perfect b-matching: every bidder owns b
     dedicated queries, each padded with random extra neighbors, in a shuffled
     arrival order."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _block_rng(seed, 0)
     arrivals = []
     for u in range(1, n + 1):
         for _ in range(b):

@@ -7,15 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .families import INV_E
+from .families import LIMIT_TARGETS
 from .lp_core import CERT_TOL, LpInputError, certify, solve
-
-LIMIT_TARGETS = {
-    "toy": 1.0 - INV_E,
-    "balance": INV_E,
-    "ranking": 1.0 - INV_E,
-    "secretary": INV_E,
-}
 
 _ORACLES = {
     "toy": families.tight_value_toy,
@@ -92,13 +85,15 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     Sizes beyond the simplex cap use the tight-recurrence oracle (toy and
     ranking only); sizes inside the cap are solved by simplex and, where an
     oracle exists, cross-checked against it to 1e-9.  Any non-optimal solve
-    aborts the sweep.
+    aborts the sweep.  Sizes must be positive and distinct.
     """
     if kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
     sizes = sorted(int(n) for n in sizes)
     if not sizes or sizes[0] < 1:
         raise LpInputError("sizes must be positive")
+    if len(set(sizes)) < len(sizes):
+        raise LpInputError(f"sizes must not repeat, got {sizes}")
     oracle = _ORACLES.get(kind)
     rows = [_sweep_entry(kind, n, oracle, certificates) for n in sizes]
     return SweepTable(family=kind, rows=rows, limit_target=LIMIT_TARGETS[kind])

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import INV_E, FamilySpec
+from .families import INV_E, LIMIT_TARGETS, FamilySpec
 from .lp_core import LpInputError, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
@@ -19,19 +19,18 @@ ACTIVITY_THRESHOLD = 1e-6
 
 @dataclass(frozen=True)
 class ContinuumProfile:
-    """A named closed-form function on [0, 1]."""
+    """A named closed-form function on [0, 1].
+
+    A g-profile names the family it discretizes into; its continuum
+    objective is that family's ``LIMIT_TARGETS`` entry.
+    """
 
     tag: str
     fn: Callable[[np.ndarray], np.ndarray]
-    family: str | None = None           # family a g-profile discretizes into
-    continuum_objective: float | None = None
+    family: str | None = None
 
     def __call__(self, t):
         return self.fn(np.asarray(t, dtype=float))
-
-    @property
-    def is_g_profile(self) -> bool:
-        return self.tag.endswith("G")
 
 
 def _exp_neg(t):
@@ -47,28 +46,22 @@ def _balance_v(t):
 
 
 def _secretary_u(t):
-    t = np.asarray(t, dtype=float)
     vals = 1.0 - INV_E / np.where(t > 0, t, 1.0)
     return np.where(t > INV_E, vals, 0.0)
 
 
 def _secretary_g(t):
-    t = np.asarray(t, dtype=float)
     vals = INV_E / np.where(t > 0, t, 1.0)
     return np.where(t > INV_E, vals, 0.0)  # 0 at the threshold: left-closed
 
 
-TOY_G = ContinuumProfile("ToyG", _exp_neg, family="toy",
-                         continuum_objective=1.0 - INV_E)
-BALANCE_G = ContinuumProfile("BalanceG", _exp_neg, family="balance",
-                             continuum_objective=INV_E)
+TOY_G = ContinuumProfile("ToyG", _exp_neg, family="toy")
+BALANCE_G = ContinuumProfile("BalanceG", _exp_neg, family="balance")
 BALANCE_U = ContinuumProfile("BalanceU", _one_minus_exp_neg)
 BALANCE_V = ContinuumProfile("BalanceV", _balance_v)
-RANKING_G = ContinuumProfile("RankingG", _exp_neg, family="ranking",
-                             continuum_objective=1.0 - INV_E)
+RANKING_G = ContinuumProfile("RankingG", _exp_neg, family="ranking")
 RANKING_U = ContinuumProfile("RankingU", _one_minus_exp_neg)
-SECRETARY_G = ContinuumProfile("SecretaryG", _secretary_g, family="secretary",
-                               continuum_objective=INV_E)
+SECRETARY_G = ContinuumProfile("SecretaryG", _secretary_g, family="secretary")
 SECRETARY_U = ContinuumProfile("SecretaryU", _secretary_u)
 
 PROFILES = {p.tag: p for p in (
@@ -89,7 +82,6 @@ def eval_profile(profile: ContinuumProfile | str, t: float) -> float:
 @dataclass(frozen=True)
 class OdeTrajectory:
     kind: str
-    step: float
     ts: np.ndarray
     values: np.ndarray
 
@@ -104,15 +96,8 @@ _ODE_RHS = {
     "ranking": lambda t, u: 1.0 - u,     # u + u' = 1
 }
 
-ODE_CLOSED_FORM = {
-    "balance": _balance_v,
-    "ranking": _one_minus_exp_neg,
-}
-
-ODE_TERMINAL = {
-    "balance": INV_E,
-    "ranking": 1.0 - INV_E,
-}
+ODE_CLOSED_FORM = {"balance": BALANCE_V, "ranking": RANKING_U}
+ODE_TERMINAL = {kind: LIMIT_TARGETS[kind] for kind in _ODE_RHS}
 
 
 def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
@@ -140,7 +125,7 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
         k4 = f(t + h, y + h * k3)
         y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[k + 1] = y
-    return OdeTrajectory(kind=kind, step=h, ts=ts, values=ys)
+    return OdeTrajectory(kind=kind, ts=ts, values=ys)
 
 
 @dataclass(frozen=True)
@@ -168,13 +153,13 @@ def discretize_profile(profile, family: FamilySpec):
     """
     n = family.size
     if isinstance(profile, ContinuumProfile):
-        if not profile.is_g_profile:
+        if profile.family is None:
             raise LpInputError(f"{profile.tag} is not a g-profile")
         if profile.family != family.kind:
             raise LpInputError(
                 f"profile {profile.tag} does not match family {family.kind!r}")
         g = profile.fn
-        continuum = profile.continuum_objective
+        continuum = LIMIT_TARGETS[profile.family]
     elif callable(profile):
         g = profile
         continuum = None
@@ -214,9 +199,6 @@ def _quadrature_objective(g, kind: str, panels: int = 100_000) -> float:
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    grid: np.ndarray
-    u: np.ndarray
-    u_dot: np.ndarray
     w_sq: np.ndarray
     v_sq: np.ndarray
     mu1: np.ndarray
@@ -301,6 +283,8 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
         raise LpInputError("grid and candidate must be equal-length 1-d arrays")
     if t[0] <= 0.0 or t[-1] > 1.0 or np.any(np.diff(t) <= 0):
         raise LpInputError("grid must be strictly increasing within (0, 1]")
+    if not 0.0 <= tol < np.inf:
+        raise LpInputError(f"tol must be finite and >= 0, got {tol}")
     du = np.diff(u)
     if np.any(du < -1e-12):
         raise LpInputError("u_candidate must be non-decreasing")
@@ -314,9 +298,8 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     run_list = _runs_of(active)
     runs = [(a, b) for a, b, _ in run_list]
 
-    u_dot = _segment_derivative(t, u, runs)
-    w_sq = u_dot.copy()
-    v_sq = 1.0 - u - u_dot * t
+    w_sq = _segment_derivative(t, u, runs)   # w^2 = du/dt
+    v_sq = 1.0 - u - w_sq * t
 
     mu1 = np.where(active, -np.log(t) - 1.0, 0.0)
     mu2 = np.where(active, t * (1.0 + mu1), 0.0)
@@ -338,8 +321,7 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     v_sq[(v_sq < 0) & (v_sq >= -tol)] = 0.0
     w_sq[(w_sq < 0) & (w_sq >= -tol)] = 0.0
 
-    profile = MultiplierProfile(grid=t, u=u, u_dot=u_dot, w_sq=w_sq,
-                                v_sq=v_sq, mu1=mu1, mu2=mu2)
+    profile = MultiplierProfile(w_sq=w_sq, v_sq=v_sq, mu1=mu1, mu2=mu2)
     report = MultiplierReport(residual_stationarity=res_stat,
                               residual_slack=res_slack,
                               residual_drive=res_drive,
@@ -348,9 +330,9 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     return profile, report
 
 
-def write_trajectory_csv(path, ts, values, header=("t", "value")) -> None:
-    """Two-column CSV export used for ODE and profile trajectories."""
+def write_trajectory_csv(path, ts, values) -> None:
+    """Two-column ``t,value`` CSV export used for ODE and profile trajectories."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("t,value\n")
         for t, v in zip(ts, values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from lplimits import certify, lp_core, solve
 from lplimits.cli import SEED_ENV_VAR, main
+from lplimits.families import FAMILY_KINDS, FamilySpec
 
 INV_E = 1.0 / math.e
 
@@ -14,13 +16,45 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def test_solve_json(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "ranking:8", "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["status"] == "optimal"
     assert payload["certified"] is True
     assert payload["n"] == 8
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_solve_json_reports_the_certificate(capsys, kind):
+    code, out, _ = run_cli(capsys, "solve", "--family", f"{kind}:6", "--json")
+    assert code == 0
+    payload = strict_json(out)
+    lp = FamilySpec(kind, 6).build()
+    cert = certify(lp, solve(lp))
+    assert payload["duality_gap"] == cert.gap
+    assert payload["max_primal_violation"] == cert.primal_feasibility
+    assert payload["certified"] is True and cert.passed
+
+
+def test_solve_json_non_optimal_has_no_certificate(capsys, monkeypatch):
+    from lplimits import cli
+
+    monkeypatch.setattr(cli, "solve", lambda lp: lp_core.solve(lp, max_iterations=0))
+    code, out, _ = run_cli(capsys, "solve", "--family", "ranking:8", "--json")
+    assert code != 0
+    payload = strict_json(out)
+    assert payload["status"] == "iteration_limit"
+    assert not {"duality_gap", "max_primal_violation", "certified"} & set(payload)
 
 
 def test_solve_dump_roundtrip(capsys, tmp_path):
@@ -35,7 +69,7 @@ def test_solve_dump_roundtrip(capsys, tmp_path):
 def test_bad_family_is_json_error(capsys):
     code, _, err = run_cli(capsys, "solve", "--family", "nope:3")
     assert code != 0
-    payload = json.loads(err)
+    payload = strict_json(err)
     assert "error" in payload and payload["type"] == "LpInputError"
 
 
@@ -45,9 +79,18 @@ def test_sweep_csv_and_extrapolate(capsys, tmp_path):
                            "--sizes", "4,8,16,32", "--out", str(path),
                            "--extrapolate", "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert abs(payload["extrapolated_limit"] - (1 - INV_E)) < 1e-2
     assert path.read_text().startswith("family,n,value,status,ms")
+
+
+def test_sweep_repeated_sizes_is_json_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "ranking",
+                             "--sizes", "8,8,8", "--extrapolate", "--json")
+    assert code != 0 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "repeat" in payload["error"]
 
 
 def test_ode_writes_trajectory(capsys, tmp_path):
@@ -82,7 +125,7 @@ def test_interval_search_json_keys(capsys):
     code, out, _ = run_cli(capsys, "interval-search", "--k", "1",
                            "--resolution", "0.01", "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert set(payload) == {"K", "resolution", "best_s", "best_value",
                             "grid_points_evaluated"}
     assert abs(payload["best_value"] - INV_E) < 1e-6
@@ -92,7 +135,7 @@ def test_simulate_ranking_json(capsys):
     code, out, _ = run_cli(capsys, "simulate", "ranking", "--planted", "20,1",
                            "--trials", "2000", "--seed", "3", "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert set(payload) == {"trials", "estimate", "std_error", "seed"}
     assert payload["seed"] == 3
     assert 0 < payload["estimate"] <= 20
@@ -110,7 +153,7 @@ def test_simulate_secretary_policy(capsys):
                            "--policy-from-lp", "20", "--trials", "5000",
                            "--seed", "1", "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert abs(payload["estimate"] - 0.38) < 0.05
 
 
@@ -119,7 +162,7 @@ def test_seed_env_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "simulate", "ranking", "--planted", "10,1",
                            "--trials", "500", "--json")
     assert code == 0
-    assert json.loads(out)["seed"] == 777
+    assert strict_json(out)["seed"] == 777
 
 
 def test_bad_seed_env_is_json_error(capsys, monkeypatch):
@@ -127,9 +170,36 @@ def test_bad_seed_env_is_json_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "ranking", "--planted", "10,1",
                            "--trials", "500", "--json")
     assert code != 0
-    payload = json.loads(err)
+    payload = strict_json(err)
     assert payload["type"] == "LpInputError"
     assert SEED_ENV_VAR in payload["error"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_out_of_range_is_json_error(capsys, seed):
+    code, _, err = run_cli(capsys, "simulate", "ranking", "--planted", "5,1",
+                           "--seed", seed, "--json")
+    assert code != 0
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "seed" in payload["error"]
+
+
+def test_seed_env_out_of_range_is_json_error(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-4")
+    code, _, err = run_cli(capsys, "simulate", "ranking", "--planted", "5,1",
+                           "--trials", "100", "--json")
+    assert code != 0
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "seed" in payload["error"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-6"])
+def test_kkt_check_bad_tol_is_json_error(capsys, tol):
+    code, out, err = run_cli(capsys, "kkt-check", "--grid", "100", f"--tol={tol}")
+    assert code != 0 and out == ""
+    assert strict_json(err)["type"] == "LpInputError"
 
 
 def test_simulate_secretary_refuses_unsolved_lp(capsys, monkeypatch):
@@ -140,7 +210,7 @@ def test_simulate_secretary_refuses_unsolved_lp(capsys, monkeypatch):
                            "--policy-from-lp", "20", "--trials", "500",
                            "--seed", "1", "--json")
     assert code != 0
-    payload = json.loads(err)
+    payload = strict_json(err)
     assert payload["type"] == "LpInputError"
     assert "iteration_limit" in payload["error"]
 
@@ -151,7 +221,7 @@ def test_malformed_instance_file_is_json_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "ranking", "--instance",
                            str(path), "--trials", "400", "--json")
     assert code != 0
-    assert json.loads(err)["type"] == "LpInputError"
+    assert strict_json(err)["type"] == "LpInputError"
 
 
 @pytest.mark.parametrize("args", [
@@ -163,7 +233,7 @@ def test_malformed_instance_file_is_json_error(capsys, tmp_path):
 def test_malformed_integer_flag_is_json_error(capsys, args):
     code, _, err = run_cli(capsys, *args, "--json")
     assert code != 0
-    payload = json.loads(err)
+    payload = strict_json(err)
     assert payload["type"] == "LpInputError"
     assert args[-2] in payload["error"]
 
@@ -178,4 +248,4 @@ def test_simulate_instance_file(capsys, tmp_path):
                            str(path), "--trials", "400", "--seed", "2",
                            "--json")
     assert code == 0
-    assert json.loads(out)["trials"] == 400
+    assert strict_json(out)["trials"] == 400

@@ -197,3 +197,7 @@ def test_search_validation():
         search_best(1, 1e-2, 1e-3)
     with pytest.raises(LpInputError, match="no admissible K=1 sequence"):
         search_best(1, 1e-2, 1.0)
+    for K in (1, 2):
+        for sep in (math.nan, math.inf):
+            with pytest.raises(LpInputError, match="min_separation"):
+                search_best(K, 1e-2, sep)

@@ -99,8 +99,7 @@ def test_certify_rejects_perturbed_solution():
     x_bad[0] += 1e-2
     bad = type(sol)(status="optimal", x=x_bad,
                     objective_value=float(lp.objective @ x_bad),
-                    dual=sol.dual, max_primal_violation=0.0,
-                    duality_gap=0.0, iterations=sol.iterations)
+                    dual=sol.dual, iterations=sol.iterations)
     assert not certify(lp, bad).passed
 
 
@@ -187,7 +186,7 @@ def test_solution_feasible_and_certified(build, n):
     sol = solve(lp)
     assert sol.status == "optimal"
     assert check_feasibility(lp, sol.x, 1e-9).max_violation == pytest.approx(0.0, abs=1e-9)
-    assert sol.duality_gap <= 1e-8 * (1.0 + abs(sol.objective_value))
+    assert certify(lp, sol).gap <= 1e-8 * (1.0 + abs(sol.objective_value))
     assert certify(lp, sol).passed
     assert np.all(sol.x >= lp.var_lower - 1e-9)
     assert np.all(sol.x <= lp.var_upper + 1e-9)

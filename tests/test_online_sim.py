@@ -163,6 +163,23 @@ def test_ranking_requires_unit_capacity():
         run_ranking(SimInstance(2, 2, ((1,),)), trials=10)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2^128"])
+def test_seed_outside_philox_key_range_is_rejected(seed):
+    policy = PolicyTable(n=3, accept_prob=np.ones(3), reachable=np.ones(3, bool))
+    with pytest.raises(LpInputError, match="seed"):
+        run_ranking(triangular_instance(4, 1), trials=10, seed=seed)
+    with pytest.raises(LpInputError, match="seed"):
+        run_secretary(policy, trials=10, seed=seed)
+    with pytest.raises(LpInputError, match="seed"):
+        planted_instance(5, 1, seed=seed)
+
+
+def test_largest_seed_is_accepted():
+    seed = 2**128 - 1
+    assert run_ranking(triangular_instance(4, 1), trials=10, seed=seed).seed == seed
+    assert planted_instance(5, 1, seed=seed).n_online == 5
+
+
 def test_ranking_reproducible_and_seed_consistent():
     inst = triangular_instance(30, 1)
     a = run_ranking(inst, trials=4000, seed=9)

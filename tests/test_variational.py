@@ -201,7 +201,7 @@ def test_multiplier_check_accepts_optimizer():
     assert abs(active_t.min() - INV_E) <= 2e-4
     assert active_t.max() == pytest.approx(1.0)
     assert np.all(prof.v_sq >= 0.0) and np.all(prof.w_sq >= 0.0)
-    assert prof.u[0] <= 1e-9
+    assert u[0] <= 1e-9
 
 
 def test_multiplier_boundary_constant():
@@ -228,6 +228,13 @@ def test_multiplier_check_rejects_decreasing():
         multiplier_check(t[::-1], t)
     with pytest.raises(LpInputError):
         multiplier_check(np.linspace(-0.5, 1.0, 50), np.zeros(50))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])
+def test_multiplier_check_rejects_bad_tol(tol):
+    t, u = _u_star_grid(100)
+    with pytest.raises(LpInputError, match="tol"):
+        multiplier_check(t, u, tol=tol)
 
 
 def test_multiplier_carry_across_runs():

@@ -109,6 +109,8 @@ def _cmd_vc_check(args) -> int:
 
 
 def _cmd_kkt_check(args) -> int:
+    if not 0.0 <= args.perturb < np.inf:
+        raise LpInputError(f"--perturb must be finite and >= 0, got {args.perturb}")
     g = int(args.grid)
     t = np.arange(1, g + 1) / g
     u = variational.SECRETARY_U(t)
@@ -149,6 +151,7 @@ def _load_sim_instance(args) -> online_sim.SimInstance:
 
 def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    online_sim._block_rng(seed, 0)  # the Philox key range check, for every algorithm
     if args.algorithm == "balance":
         inst = _load_sim_instance(args)
         run = online_sim.run_balance(inst, n_slabs=args.slabs)

@@ -325,25 +325,40 @@ def planted_instance(n: int, b: int, extra_degree: int = 2,
 
 
 def offline_optimum(instance: SimInstance) -> float:
-    """Exact offline maximum in budget units: the maximum b-matching, as an
-    integer max-flow (Dinic).
+    """Exact offline maximum in budget units: the maximum b-matching, found
+    by breadth-first augmenting-path search.
 
-    Node 0 is the source, nodes 1..n_offline the offline side (capacity b
-    from the source), node n_offline+1+t arrival t (capacity 1 to the sink,
-    the last node), with a unit-capacity edge from each neighbor to it.
+    Each arrival in turn searches the offline vertices, each holding up to b
+    arrivals; an arrival held by a full vertex may move to another neighbor.
+    A failed search reached only full vertices whose arrivals have all their
+    neighbors among them; no later path can leave or end in that set, so its
+    vertices are skipped from then on.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_flow
-
-    n = instance.n_offline
-    sink = n + instance.n_online + 1
-    edges = [(0, u, instance.b) for u in range(1, n + 1)]
-    for t, nb in enumerate(instance.arrivals, start=n + 1):
-        edges += [(u, t, 1) for u in nb]
-        edges.append((t, sink, 1))
-    tail, head, cap = np.array(edges, dtype=np.int32).T
-    graph = csr_array((cap, (tail, head)), shape=(sink + 1, sink + 1))
-    return int(maximum_flow(graph, 0, sink).flow_value) / instance.b
+    n, b, arrivals = instance.n_offline, instance.b, instance.arrivals
+    held = [[] for _ in range(n + 1)]   # vertex 0 holds the searching arrival
+    seen = [-1] * (n + 1)   # last search to reach it; len(arrivals) once closed
+    step = [None] * (n + 1)   # (vertex left, arrival moved) on the path to it
+    for t in range(len(arrivals)):
+        held[0] = [t]
+        queue = [0]
+        for u in queue:     # the queue grows while it is read
+            if u and len(held[u]) < b:
+                break
+            for a in held[u]:
+                for w in arrivals[a]:
+                    if seen[w] < t:
+                        seen[w], step[w] = t, (u, a)
+                        queue.append(w)
+        else:
+            for u in queue[1:]:
+                seen[u] = len(arrivals)
+            continue
+        while u:    # shift every arrival on the path one step
+            p, a = step[u]
+            held[p].remove(a)
+            held[u].append(a)
+            u = p
+    return sum(map(len, held[1:])) / b
 
 
 def write_instance(instance: SimInstance, path) -> None:

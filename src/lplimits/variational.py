@@ -189,12 +189,11 @@ def discretize_profile(profile, family: FamilySpec):
 
 
 def _quadrature_objective(g, kind: str, panels: int = 100_000) -> float:
-    from scipy.integrate import simpson
-
+    """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1); panels is even."""
     t = np.linspace(0.0, 1.0, panels + 1)
     gv = np.asarray(g(t), dtype=float)
-    w = (1.0 - t) if kind == "balance" else np.ones_like(t)
-    return float(simpson(gv * w, x=t))
+    y = gv * ((1.0 - t) if kind == "balance" else np.ones_like(t))
+    return float(y[:-1:2].sum() + 4.0 * y[1::2].sum() + y[2::2].sum()) / (3 * panels)
 
 
 @dataclass(frozen=True)
@@ -281,6 +280,8 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     u = np.asarray(u_candidate, dtype=float)
     if t.ndim != 1 or t.size < 3 or u.shape != t.shape:
         raise LpInputError("grid and candidate must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(u))):
+        raise LpInputError("grid and candidate must be finite")
     if t[0] <= 0.0 or t[-1] > 1.0 or np.any(np.diff(t) <= 0):
         raise LpInputError("grid must be strictly increasing within (0, 1]")
     if not 0.0 <= tol < np.inf:

@@ -121,6 +121,23 @@ def test_kkt_check_with_perturbation(capsys):
     assert "pass: False" in out
 
 
+@pytest.mark.parametrize("perturb", ["nan", "inf", "-0.01"])
+def test_kkt_check_bad_perturb_is_json_error(capsys, perturb):
+    code, out, err = run_cli(capsys, "kkt-check", "--grid", "100",
+                             f"--perturb={perturb}")
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "--perturb" in payload["error"]
+
+
+def test_kkt_check_zero_perturb_skips_the_perturbed_check(capsys):
+    code, out, _ = run_cli(capsys, "kkt-check", "--grid", "5000",
+                           "--perturb", "0")
+    assert code == 0
+    assert "candidate residuals" in out and "perturbed" not in out
+
+
 def test_interval_search_json_keys(capsys):
     code, out, _ = run_cli(capsys, "interval-search", "--k", "1",
                            "--resolution", "0.01", "--json")
@@ -175,24 +192,32 @@ def test_bad_seed_env_is_json_error(capsys, monkeypatch):
     assert SEED_ENV_VAR in payload["error"]
 
 
+# BALANCE is deterministic, yet its report echoes the seed, so the range is
+# checked for every algorithm
+SIMULATIONS = [("ranking", "--planted", "5,1"), ("balance", "--planted", "5,5"),
+               ("secretary", "--policy-from-lp", "5")]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_seed_out_of_range_is_json_error(capsys, seed):
-    code, _, err = run_cli(capsys, "simulate", "ranking", "--planted", "5,1",
-                           "--seed", seed, "--json")
-    assert code != 0
-    payload = strict_json(err)
-    assert payload["type"] == "LpInputError"
-    assert "seed" in payload["error"]
+    for args in SIMULATIONS:
+        code, out, err = run_cli(capsys, "simulate", *args, "--trials", "100",
+                                 "--seed", seed, "--json")
+        assert code == 2 and out == ""
+        payload = strict_json(err)
+        assert payload["type"] == "LpInputError"
+        assert "seed" in payload["error"]
 
 
 def test_seed_env_out_of_range_is_json_error(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "-4")
-    code, _, err = run_cli(capsys, "simulate", "ranking", "--planted", "5,1",
-                           "--trials", "100", "--json")
-    assert code != 0
-    payload = strict_json(err)
-    assert payload["type"] == "LpInputError"
-    assert "seed" in payload["error"]
+    for args in SIMULATIONS:
+        code, out, err = run_cli(capsys, "simulate", *args, "--trials", "100",
+                                 "--json")
+        assert code == 2 and out == ""
+        payload = strict_json(err)
+        assert payload["type"] == "LpInputError"
+        assert "seed" in payload["error"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1e-6"])

@@ -13,11 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lplimits"
 
 
-def imported_packages():
-    """Top-level names of every absolute import in the package, including
-    imports made inside functions."""
+def imported_packages(directory=PACKAGE):
+    """Top-level names of every absolute import in a directory's modules,
+    including imports made inside functions."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
@@ -26,9 +26,12 @@ def imported_packages():
     return names
 
 
-def declared_dependencies():
+def declared_dependencies(extra=None):
+    """Runtime dependencies, or those of one optional extra."""
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        deps = tomllib.load(fh)["project"]["dependencies"]
+        project = tomllib.load(fh)["project"]
+    deps = (project["optional-dependencies"][extra] if extra
+            else project["dependencies"])
     return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_")
             for d in deps}
 
@@ -38,18 +41,25 @@ def test_every_import_is_stdlib_local_or_declared():
     assert imported_packages() - allowed == set()
 
 
-@pytest.mark.parametrize("check", [
-    pytest.param("L.offline_optimum(L.triangular_instance(5, 2)); "
-                 "print('networkx' in sys.modules)", id="offline-optimum-no-networkx"),
-    pytest.param("print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
-                 id="import-no-scipy"),
-    pytest.param("L.search_best(1, 1e-2, 1e-2); "
-                 "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
-                 id="k1-search-no-scipy"),
+def test_every_test_import_is_declared_for_testing():
+    allowed = (set(sys.stdlib_module_names) | {"lplimits"} | declared_dependencies()
+               | declared_dependencies("test"))
+    assert imported_packages(ROOT / "tests") - allowed == set()
+
+
+@pytest.mark.parametrize("call,absent", [
+    pytest.param("L.offline_optimum(L.triangular_instance(5, 2))",
+                 {"scipy", "networkx"}, id="offline-optimum-no-scipy-or-networkx"),
+    pytest.param("", {"scipy"}, id="import-no-scipy"),
+    pytest.param("L.search_best(1, 1e-2, 1e-2)", {"scipy"}, id="k1-search-no-scipy"),
+    pytest.param("L.discretize_profile(lambda t: 0.5 * t, L.FamilySpec('balance', 4))",
+                 {"scipy"}, id="bare-callable-discretize-no-scipy"),
 ])
-def test_fresh_interpreter_loads_no_extra_library(check):
-    code = "import sys, lplimits as L; " + check
+def test_fresh_interpreter_loads_no_extra_library(call, absent):
+    code = f"import sys, lplimits as L\n{call}\nprint(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == "False"
+    loaded = {m.split(".")[0] for m in out.stdout.split()}
+    assert "lplimits" in loaded
+    assert loaded & absent == set()

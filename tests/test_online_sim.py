@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from lplimits import (
     LpInputError,
@@ -91,6 +93,22 @@ def b_matching_lp_optimum(inst):
     return -res.fun
 
 
+def max_flow_optimum(inst):
+    """Maximum b-matching size as an integer max-flow.  Node 0 is the
+    source, nodes 1..n_offline the offline side (capacity b from the
+    source), node n_offline+1+t arrival t (capacity 1 to the sink, the last
+    node), with a unit-capacity edge from each neighbor to it."""
+    n = inst.n_offline
+    sink = n + inst.n_online + 1
+    edges = [(0, u, inst.b) for u in range(1, n + 1)]
+    for t, nb in enumerate(inst.arrivals, start=n + 1):
+        edges += [(u, t, 1) for u in nb]
+        edges.append((t, sink, 1))
+    tail, head, cap = np.array(edges, dtype=np.int32).T
+    graph = csr_array((cap, (tail, head)), shape=(sink + 1, sink + 1))
+    return maximum_flow(graph, 0, sink).flow_value
+
+
 def test_offline_optimum_matches_b_matching_lp():
     rng = np.random.default_rng(31)
     for _ in range(30):
@@ -104,10 +122,29 @@ def test_offline_optimum_matches_b_matching_lp():
         opt = offline_optimum(inst) * b
         assert opt < n * b
         assert abs(opt - b_matching_lp_optimum(inst)) <= 1e-9
+        assert opt == max_flow_optimum(inst)
     for seed in range(5):
         inst = planted_instance(10, 3, extra_degree=2, seed=seed)
         assert offline_optimum(inst) == 10
         assert abs(b_matching_lp_optimum(inst) - 30) <= 1e-9
+        assert max_flow_optimum(inst) == 30
+    # up to three arrivals per unit of capacity: long paths and failed
+    # searches on small instances
+    for _ in range(400):
+        n = int(rng.integers(1, 15))
+        b = int(rng.integers(1, 4))
+        arrivals = tuple(
+            tuple(int(v) for v in rng.integers(1, n + 1, size=int(rng.integers(0, 6))))
+            for _ in range(int(rng.integers(0, 3 * n * b + 1))))
+        inst = SimInstance(n_offline=n, b=b, arrivals=arrivals)
+        assert offline_optimum(inst) * b == max_flow_optimum(inst)
+    # arrival t takes vertex t, so the last arrival needs a 3000-step path:
+    # deeper than Python's default recursion limit
+    chain = SimInstance(3000, 1, tuple((t, t + 1) for t in range(1, 3000)) + ((1,),))
+    # every arrival sees every vertex: all searches after the 100th fail
+    overloaded = SimInstance(100, 1, (tuple(range(1, 101)),) * 10_000)
+    for inst, opt in ((chain, 3000), (overloaded, 100)):
+        assert offline_optimum(inst) == opt == max_flow_optimum(inst)
 
 
 def test_slab_audit_on_planted_corpus(rng):

@@ -178,6 +178,22 @@ def test_discretize_zero_profile_fails_row_one():
     assert gap.max_violation == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kind", ["toy", "balance"])
+@pytest.mark.parametrize("g", [
+    pytest.param(lambda t: np.exp(-t), id="exp"),
+    pytest.param(lambda t: np.sqrt(t) * np.sin(7.0 * t) ** 2, id="sqrt-sin"),
+    pytest.param(lambda t: np.where(t > INV_E, INV_E / np.maximum(t, INV_E), 0.0),
+                 id="jump"),
+])
+def test_bare_callable_objective_is_simpson(kind, g):
+    # a bare callable's continuum objective is composite Simpson on 100_000
+    # panels of g, weighted by 1 - t for balance and by 1 for the other kinds
+    _, gap = discretize_profile(g, FamilySpec(kind, 8))
+    t = np.linspace(0.0, 1.0, 100_001)
+    w = 1.0 - t if kind == "balance" else 1.0
+    assert abs(gap.continuum_objective - simpson(g(t) * w, x=t)) <= 1e-14
+
+
 def test_discretize_rejects_mismatch():
     with pytest.raises(LpInputError):
         discretize_profile(RANKING_G, FamilySpec("balance", 10))
@@ -228,6 +244,17 @@ def test_multiplier_check_rejects_decreasing():
         multiplier_check(t[::-1], t)
     with pytest.raises(LpInputError):
         multiplier_check(np.linspace(-0.5, 1.0, 50), np.zeros(50))
+    # NaN fails every comparison, so the order checks alone let it through
+    t, u = _u_star_grid()
+    for bad in (math.nan, math.inf):
+        u_bad = u.copy()
+        u_bad[5000] = bad
+        with pytest.raises(LpInputError, match="finite"):
+            multiplier_check(t, u_bad)
+        t_bad = t.copy()
+        t_bad[5000] = bad
+        with pytest.raises(LpInputError, match="finite"):
+            multiplier_check(t_bad, u)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])

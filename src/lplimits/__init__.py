@@ -49,6 +49,7 @@ from .online_sim import (
     best_threshold,
     offline_optimum,
     planted_instance,
+    policy_value,
     run_balance,
     run_ranking,
     run_secretary,

@@ -263,6 +263,15 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
     return _report(total, total, trials, seed)
 
 
+def policy_value(policy: PolicyTable) -> float:
+    """Exact success probability of a stopping policy,
+    sum_i prod_{j<i} (1 - p_j / j) p_i / n: by Renyi's record theorem the
+    best-so-far indicators of positions j are independent Bernoulli(1/j)."""
+    p = policy.accept_prob
+    go_on = np.cumprod(1.0 - p[:-1] / np.arange(1, policy.n))
+    return float(p[0] + go_on @ p[1:]) / policy.n
+
+
 def threshold_policy_value(n: int, k: int) -> float:
     """Exact success probability of the classical rule that rejects the
     first k candidates and then takes the first best-so-far one.

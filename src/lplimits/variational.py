@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import INV_E, LIMIT_TARGETS, FamilySpec
+from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec
 from .lp_core import LpInputError, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
@@ -91,9 +91,9 @@ class OdeTrajectory:
 
 
 _ODE_RHS = {
-    # tight main constraint of each continuum program, with zero initial value
-    "balance": lambda t, v: t - v,       # v + v' = t
-    "ranking": lambda t, u: 1.0 - u,     # u + u' = 1
+    # (alpha, beta) of each tight main constraint y' = alpha + beta t - y, y(0) = 0
+    "balance": (0.0, 1.0),   # v + v' = t
+    "ranking": (1.0, 0.0),   # u + u' = 1
 }
 
 ODE_CLOSED_FORM = {"balance": BALANCE_V, "ranking": RANKING_U}
@@ -101,30 +101,28 @@ ODE_TERMINAL = {kind: LIMIT_TARGETS[kind] for kind in _ODE_RHS}
 
 
 def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
-    """Classical RK4 on the tight-constraint ODE over [0, 1].
+    """Classical RK4 on the tight-constraint ODE over [0, 1], in closed form.
 
-    The step is snapped to 1/round(1/step) so the uniform grid ends exactly
-    at t = 1; terminal error is O(step^4).
+    The step is snapped to h = 1/round(1/step) so the uniform grid ends
+    exactly at t = 1; terminal error is O(step^4).  The ODE is linear and
+    RK4 is exact on its line alpha + beta (t - 1), so every step scales the
+    distance to that line by R = 1 - q, q = h - h^2/2 + h^3/6 - h^4/24: the
+    RK4 iterates are y_k = alpha + beta (t_k - 1) + (beta - alpha) R^k, with
+    R^k taken as exp(k log1p(-q)) so the rounding of R does not grow with k.
     """
     if kind not in _ODE_RHS:
         raise LpInputError(f"unknown ode kind {kind!r}")
     if not 0.0 < step <= 1e-2:
         raise LpInputError("step must be in (0, 1e-2]")
-    f = _ODE_RHS[kind]
-    n = max(1, round(1.0 / step))
+    n = round(1.0 / step)
+    if n > ORACLE_SIZE_CAP:
+        raise LpInputError(f"{n} steps exceed cap {ORACLE_SIZE_CAP}")
+    alpha, beta = _ODE_RHS[kind]
     h = 1.0 / n
+    q = h * (1.0 - h / 2 * (1.0 - h / 3 * (1.0 - h / 4)))
     ts = np.linspace(0.0, 1.0, n + 1)
-    ys = np.empty(n + 1)
-    y = 0.0
-    ys[0] = y
-    for k in range(n):
-        t = ts[k]
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[k + 1] = y
+    decay = np.exp(np.arange(n + 1) * np.log1p(-q))
+    ys = alpha + beta * (ts - 1.0) + (beta - alpha) * decay
     return OdeTrajectory(kind=kind, ts=ts, values=ys)
 
 

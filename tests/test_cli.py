@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lplimits import certify, lp_core, solve
+from lplimits import certify, lp_core, solve, variational
 from lplimits.cli import SEED_ENV_VAR, main
 from lplimits.families import FAMILY_KINDS, FamilySpec
 
@@ -104,6 +104,16 @@ def test_ode_writes_trajectory(capsys, tmp_path):
     t, v = lines[-1].split(",")
     assert float(t) == 1.0
     assert abs(float(v) - (1 - INV_E)) < 1e-10
+
+
+def test_ode_step_below_floor_is_json_error(capsys, monkeypatch):
+    # numpy unreachable: the step check must fire before any allocation
+    monkeypatch.setattr(variational, "np", None)
+    code, out, err = run_cli(capsys, "ode", "--kind", "balance", "--step", "1e-9")
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "cap" in payload["error"]
 
 
 def test_vc_check(capsys):

@@ -146,6 +146,19 @@ def test_monotone_trends_with_frozen_constants():
             assert abs(v - limit) <= TREND_C[kind] / n, (kind, n, v)
 
 
+@pytest.mark.parametrize("oracle,sign", [(tight_value_toy, 1.0),
+                                         (tight_value_ranking, -1.0)])
+def test_oracle_first_order_coefficient(oracle, sign):
+    # value(n) = L + C/n + O(1/n^2) with C = +-1/(2e), since
+    # (1 - 1/n)^n and (n/(n+1))^n are e^-1 (1 -+ 1/(2n) + O(1/n^2))
+    ns = np.array([1000.0, 2000.0, 4000.0, 8000.0])
+    values = np.array([oracle(int(n)) for n in ns])
+    basis = np.column_stack([np.ones_like(ns), 1.0 / ns, 1.0 / ns**2])
+    (L, C, _), *_ = np.linalg.lstsq(basis, values, rcond=None)
+    assert abs(L - (1 - INV_E)) <= 1e-9
+    assert abs(C - sign * INV_E / 2) <= 1e-4
+
+
 def test_secretary_implied_bound_at_optimum():
     for n in (5, 23, 60):
         sol = solve(build_secretary(n))

@@ -17,6 +17,7 @@ from lplimits import (
     build_secretary,
     offline_optimum,
     planted_instance,
+    policy_value,
     run_balance,
     run_ranking,
     run_secretary,
@@ -339,12 +340,14 @@ def test_secretary_trivial_and_uniform_policies():
                          reachable=np.ones(1, dtype=bool))
     rep = run_secretary(always, trials=200, seed=3)
     assert rep.estimate == 1.0
+    assert policy_value(always) == 1.0
 
     n = 8
     first = PolicyTable(n=n, accept_prob=np.ones(n),
                         reachable=np.ones(n, dtype=bool))
     rep = run_secretary(first, trials=40_000, seed=4)
     assert abs(rep.estimate - 1.0 / n) <= 4 * rep.std_error
+    assert policy_value(first) == pytest.approx(1.0 / n, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [10, 50, 200])
@@ -353,6 +356,21 @@ def test_secretary_policy_tracks_lp_objective(n):
     pol = secretary_policy_from_lp(sol.x)
     rep = run_secretary(pol, trials=60_000, seed=6)
     assert abs(rep.estimate - sol.objective_value) <= 3 * rep.std_error
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 300])
+def test_policy_value_is_lp_objective_and_best_threshold(n):
+    sol = solve(build_secretary(n))
+    value = policy_value(secretary_policy_from_lp(sol.x))
+    assert abs(value - sol.objective_value) <= 1e-12
+    assert abs(value - best_threshold(n)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_secretary_estimate_brackets_policy_value(seed):
+    pol = secretary_policy_from_lp(solve(build_secretary(100)).x)
+    rep = run_secretary(pol, trials=100_000, seed=seed)
+    assert abs(rep.estimate - policy_value(pol)) <= 4 * rep.std_error
 
 
 def test_slab_stats_invariants():

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from lplimits import (
@@ -11,6 +14,7 @@ from lplimits import (
     eval_profile,
     integrate_tight_ode,
     multiplier_check,
+    variational,
 )
 from lplimits.variational import (
     BALANCE_G,
@@ -77,6 +81,82 @@ def test_ode_rejects_bad_steps():
         integrate_tight_ode("balance", 0.05)
     with pytest.raises(LpInputError):
         integrate_tight_ode("toy", 1e-3)
+
+
+def test_ode_step_floor_is_checked_before_allocating(monkeypatch):
+    # with numpy unreachable, any array the call made would raise
+    # AttributeError instead of the step check's LpInputError
+    monkeypatch.setattr(variational, "np", None)
+    with pytest.raises(LpInputError, match="cap"):
+        integrate_tight_ode("balance", 1e-8)
+    # 1e7 steps is the cap itself: admitted, so the call reaches numpy
+    with pytest.raises(AttributeError):
+        integrate_tight_ode("ranking", 1e-7)
+
+
+def _rk4_step(f, t, y, h):
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + h / 2 * k1)
+    k3 = f(t + h / 2, y + h / 2 * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _rk4_loop(kind, step):
+    """Classical RK4 stepped one step at a time in float64: the reference
+    for the closed-form iterates of integrate_tight_ode."""
+    f = {"balance": lambda t, v: t - v, "ranking": lambda t, u: 1.0 - u}[kind]
+    n = round(1.0 / step)
+    h = 1.0 / n
+    ts = np.linspace(0.0, 1.0, n + 1)
+    ys = np.empty(n + 1)
+    ys[0] = 0.0
+    for k in range(n):
+        ys[k + 1] = _rk4_step(f, ts[k], ys[k], h)
+    return ts, ys
+
+
+def _assert_matches_rk4_loop(kind, step):
+    traj = integrate_tight_ode(kind, step)
+    ts, ys = _rk4_loop(kind, step)
+    assert np.array_equal(traj.ts, ts)
+    assert np.max(np.abs(traj.values - ys)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["balance", "ranking"])
+@pytest.mark.parametrize("step", [1e-2, 5e-3, 1e-3, 1e-4])
+def test_ode_closed_form_matches_rk4_loop(kind, step):
+    _assert_matches_rk4_loop(kind, step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["balance", "ranking"]),
+       step=st.floats(min_value=1e-4, max_value=1e-2))
+def test_ode_closed_form_matches_rk4_loop_at_any_step(kind, step):
+    # steps off the 1/n lattice exercise the snapping to n = round(1/step)
+    _assert_matches_rk4_loop(kind, step)
+
+
+@pytest.mark.parametrize("kind", ["balance", "ranking"])
+@pytest.mark.parametrize("n", [100, 200])
+def test_ode_closed_form_matches_exact_rk4(kind, n):
+    # the same four RK4 stages in exact rational arithmetic
+    alpha, beta = {"balance": (0, 1), "ranking": (1, 0)}[kind]
+
+    def f(t, y):
+        return alpha + beta * t - y
+
+    h = Fraction(1, n)
+    exact = [Fraction(0)]
+    for k in range(n):
+        exact.append(_rk4_step(f, k * h, exact[-1], h))
+    traj = integrate_tight_ode(kind, 1.0 / n)
+    assert np.max(np.abs(traj.values - np.array([float(v) for v in exact]))) <= 1e-15
+
+
+def test_ode_finest_benchmark_step_meets_terminal_gate():
+    for kind, target in [("balance", INV_E), ("ranking", 1 - INV_E)]:
+        assert abs(integrate_tight_ode(kind, 1e-6).terminal - target) <= 1e-8
 
 
 def _random_balance_trajectories(n_traj, steps, rng):

@@ -143,9 +143,9 @@ def _load_sim_instance(args) -> online_sim.SimInstance:
         return online_sim.read_instance(args.instance)
     if args.planted:
         parts = [_int(v, "--planted") for v in args.planted.split(",")]
-        n = parts[0]
-        b = parts[1] if len(parts) > 1 else 1
-        return online_sim.triangular_instance(n, b)
+        if len(parts) > 2:
+            raise LpInputError(f"--planted takes n or n,b, got {args.planted!r}")
+        return online_sim.triangular_instance(*parts)
     raise LpInputError("need --instance FILE or --planted n,b")
 
 
@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithm", choices=("balance", "ranking", "secretary"))
     p.add_argument("--instance", default=None, metavar="FILE")
     p.add_argument("--planted", default=None, metavar="N,B",
-                   help="triangular instance with a planted optimum")
+                   help="builds triangular_instance(N, B), whose optimum "
+                        "is a planted perfect B-matching; B defaults to 1")
     p.add_argument("--policy-from-lp", default=None, metavar="N")
     p.add_argument("--trials", type=int, default=online_sim.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=None,

@@ -53,7 +53,7 @@ class SimInstance:
             raise LpInputError("need n_offline >= 1 and b >= 1")
         cleaned = []
         for nb in self.arrivals:
-            nb = tuple(sorted(set(int(u) for u in nb)))
+            nb = tuple(sorted(set(map(int, nb))))
             if nb and (nb[0] < 1 or nb[-1] > self.n_offline):
                 raise LpInputError("neighbor index outside [1, n_offline]")
             cleaned.append(nb)
@@ -116,18 +116,15 @@ def run_balance(instance: SimInstance, n_slabs: int = 20) -> BalanceRun:
     if n_slabs < 1:
         raise LpInputError("n_slabs must be >= 1")
     n, b = instance.n_offline, instance.b
-    remaining = np.full(n, b, dtype=np.int64)
+    remaining = [b] * (n + 1)   # 1-based; entry 0 is never read
     matched = 0
     for nb in instance.arrivals:
-        if not nb:
-            continue
-        idx = np.fromiter((u - 1 for u in nb), dtype=np.int64, count=len(nb))
-        rem = remaining[idx]
-        j = int(np.argmax(rem))  # first maximum: lowest offline index
-        if rem[j] > 0:
-            remaining[idx[j]] -= 1
-            matched += 1
-    counts = b - remaining
+        if nb:
+            u = max(nb, key=remaining.__getitem__)  # ties: lowest index
+            if remaining[u]:
+                remaining[u] -= 1
+                matched += 1
+    counts = b - np.array(remaining[1:], dtype=np.int64)
     return BalanceRun(value=matched / b, assignments=counts,
                       stats=_slab_stats(counts, b, n_slabs))
 
@@ -167,32 +164,47 @@ def run_ranking(instance: SimInstance, trials: int,
                 seed: int = 0) -> SimReport:
     """Monte Carlo RANKING: per trial a uniform random priority order over
     the offline side; each arrival takes its available neighbor of highest
-    priority.  Returns the mean matching size with its standard error."""
+    priority.  Returns the mean matching size with its standard error.
+
+    Per block, row v of an (n + 1, block size) uint64 array holds vertex
+    v's keys ``priority << s | v``, s = n.bit_length(): the priority is the
+    draw u times 2**53, an exact integer, while 54 + s <= 64 (n <= 1023),
+    and u's stable rank in its trial above that.  An arrival's least key is
+    its free neighbor of least u, ties going to the lowest index.  A matched
+    key becomes ``done = 1 << (top + s) | n``, above every live key; with no
+    free neighbor an arrival finds ``done`` and rewrites the dump row n.
+    """
     if instance.b != 1:
         raise LpInputError("RANKING requires unit capacities (b = 1)")
     if trials < 1:
         raise LpInputError("trials must be >= 1")
     n = instance.n_offline
-    nb_idx = [np.fromiter((u - 1 for u in nb), dtype=np.int64, count=len(nb))
-              for nb in instance.arrivals]
+    s = n.bit_length()
+    top = 53 if 54 + s <= 64 else s
+    done, mask = 1 << (top + s) | n, (1 << s) - 1
+    vertex = np.arange(n, dtype=np.uint64)[:, None]
+    # a neighbor set of consecutive vertices is read as a slice, not gathered
+    rows = [slice(nb[0] - 1, nb[-1]) if nb[-1] - nb[0] < len(nb)
+            else np.array(nb) - 1 for nb in instance.arrivals if nb]
     total = 0.0
     total_sq = 0.0
     for block, bsz in _blocks(trials):
-        rng = _block_rng(seed, block)
-        # iid uniforms induce a uniform permutation; the neighbor of smallest
-        # draw is the neighbor of smallest rank.  One row per offline vertex,
-        # one column per trial; a matched vertex's draw becomes inf.
-        live = np.ascontiguousarray(rng.random((bsz, n)).T)
+        u = _block_rng(seed, block).random((bsz, n))
+        live = np.empty((n + 1, bsz), dtype=np.uint64)
+        if top == 53:
+            np.multiply(u.T, 2.0**53, out=live[:n], casting="unsafe")
+        else:
+            np.put_along_axis(live[:n].T, np.argsort(u, axis=1, kind="stable"),
+                              vertex.T, axis=1)
+        del u   # kept into the next block, it fragments the heap: +1 array RSS
+        live[:n] <<= s
+        live[:n] |= vertex
         size = np.zeros(bsz, dtype=np.int64)
         cols = np.arange(bsz)
-        for idx in nb_idx:
-            if idx.size == 0:
-                continue
-            pri = live[idx]
-            j = pri.argmin(axis=0)  # first minimum: ties keep idx order
-            size += pri[j, cols] < np.inf
-            # where no neighbor was free this rewrites an inf with inf
-            live[idx[j], cols] = np.inf
+        for idx in rows:
+            m = live[idx].min(axis=0)
+            size += m < done
+            live[m & mask, cols] = done
         total += float(size.sum())
         total_sq += float((size.astype(float) ** 2).sum())
     return _report(total, total_sq, trials, seed)
@@ -323,11 +335,9 @@ def planted_instance(n: int, b: int, extra_degree: int = 2,
     dedicated queries, each padded with random extra neighbors, in a shuffled
     arrival order."""
     rng = _block_rng(seed, 0)
-    arrivals = []
-    for u in range(1, n + 1):
-        for _ in range(b):
-            extras = rng.integers(1, n + 1, size=extra_degree)
-            arrivals.append(tuple(sorted({u, *map(int, extras)})))
+    # one draw of every extra neighbor: the same stream as a draw per arrival
+    extras = rng.integers(1, n + 1, size=(n * b, extra_degree)).tolist()
+    arrivals = [(1 + i // b, *row) for i, row in enumerate(extras)]
     order = rng.permutation(len(arrivals))
     return SimInstance(n_offline=n, b=b,
                        arrivals=tuple(arrivals[i] for i in order))
@@ -396,10 +406,9 @@ def read_instance(path) -> SimInstance:
         n, n_online, b = _ints(header, "instance header")
         if n_online < 0:
             raise LpInputError("instance header needs n_online >= 0")
-        arrivals = []
-        for t in range(1, n_online + 1):
-            line = fh.readline()
-            if line == "":
-                raise LpInputError("instance file ended early")
-            arrivals.append(_ints(line.split(), f"arrival line {t}"))
+        arrivals = [_ints(line.split(), f"arrival line {t}")
+                    for t, line in enumerate(fh, 1)]
+    if len(arrivals) != n_online:
+        raise LpInputError(f"instance file has {len(arrivals)} arrival lines, "
+                           f"its header says {n_online}")
     return SimInstance(n_offline=n, b=b, arrivals=tuple(arrivals))

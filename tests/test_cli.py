@@ -273,6 +273,23 @@ def test_malformed_integer_flag_is_json_error(capsys, args):
     assert args[-2] in payload["error"]
 
 
+@pytest.mark.parametrize("algorithm", ["ranking", "balance"])
+def test_simulate_planted_extra_field_is_json_error(capsys, algorithm):
+    code, out, err = run_cli(capsys, "simulate", algorithm, "--planted", "5,1,9",
+                             "--trials", "100", "--json")
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "--planted" in payload["error"]
+
+
+def test_simulate_planted_defaults_b_to_one(capsys):
+    outs = [run_cli(capsys, "simulate", "ranking", "--planted", planted,
+                    "--trials", "300", "--seed", "4", "--json")[1]
+            for planted in ("7", "7,1")]
+    assert outs[0] == outs[1] and strict_json(outs[0])["trials"] == 300
+
+
 def test_simulate_instance_file(capsys, tmp_path):
     from lplimits import triangular_instance
     from lplimits.online_sim import write_instance

@@ -27,6 +27,7 @@ from lplimits import (
     threshold_policy_value,
     triangular_instance,
 )
+from lplimits import online_sim
 from lplimits.online_sim import _blocks, read_instance, write_instance
 
 INV_E = 1.0 / math.e
@@ -148,6 +149,67 @@ def test_offline_optimum_matches_b_matching_lp():
         assert offline_optimum(inst) == opt == max_flow_optimum(inst)
 
 
+def _planted_reference(n, b, extra_degree, seed):
+    """The planted_instance that drew each arrival's extras in its own call."""
+    rng = online_sim._block_rng(seed, 0)
+    arrivals = []
+    for u in range(1, n + 1):
+        for _ in range(b):
+            extras = rng.integers(1, n + 1, size=extra_degree)
+            arrivals.append(tuple(sorted({u, *map(int, extras)})))
+    order = rng.permutation(len(arrivals))
+    return SimInstance(n_offline=n, b=b,
+                       arrivals=tuple(arrivals[i] for i in order))
+
+
+def _balance_reference(instance):
+    """(value, assignments) of the numpy BALANCE loop that run_balance
+    replaced: argmax of the remaining capacities, first maximum on ties."""
+    b = instance.b
+    remaining = np.full(instance.n_offline, b, dtype=np.int64)
+    matched = 0
+    for nb in instance.arrivals:
+        if not nb:
+            continue
+        idx = np.array(nb, dtype=np.int64) - 1
+        rem = remaining[idx]
+        j = int(np.argmax(rem))
+        if rem[j] > 0:
+            remaining[idx[j]] -= 1
+            matched += 1
+    return matched / b, b - remaining
+
+
+def _assert_balance_matches_reference(inst):
+    run = run_balance(inst, n_slabs=20)
+    value, assignments = _balance_reference(inst)
+    assert run.value == value
+    assert run.assignments.dtype == assignments.dtype
+    assert np.array_equal(run.assignments, assignments)
+
+
+@pytest.mark.parametrize("n", [1, 5, 15, 200])
+@pytest.mark.parametrize("b", [1, 3, 60])
+def test_planted_instance_and_balance_match_references(n, b):
+    for extra_degree in range(4):
+        for seed in (0, 11, 2**128 - 1):
+            inst = planted_instance(n, b, extra_degree, seed=seed)
+            ref = _planted_reference(n, b, extra_degree, seed)
+            assert (inst.n_offline, inst.b) == (n, b)
+            assert inst.arrivals == ref.arrivals
+            _assert_balance_matches_reference(inst)
+
+
+def test_balance_matches_reference_on_triangular_and_random():
+    _assert_balance_matches_reference(triangular_instance(100, 100))
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n, b = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        arrivals = tuple(tuple(rng.integers(1, n + 1, size=rng.integers(0, n + 1)))
+                         for _ in range(rng.integers(0, 3 * n * b)))
+        _assert_balance_matches_reference(SimInstance(n, b, arrivals))
+
+
 def test_slab_audit_on_planted_corpus(rng):
     # slab boundaries aligned with the spend grid: b a multiple of N
     for k in range(40):
@@ -257,6 +319,97 @@ def test_block_streams_pinned():
     ]:
         rep = run_ranking(inst, trials, seed=seed)
         assert (rep.estimate, rep.std_error) == (estimate, std_error)
+
+
+def _ranking_reference(instance, trials, seed):
+    """The float-priority RANKING loop that run_ranking replaced: per block,
+    an (n, bsz) array of draws, argmin over each arrival's neighbors (first
+    minimum, so ties go to the lowest index), inf for a matched vertex."""
+    n = instance.n_offline
+    nb_idx = [np.array(nb, dtype=np.int64) - 1 for nb in instance.arrivals]
+    total = total_sq = 0.0
+    for block, bsz in _blocks(trials):
+        rng = online_sim._block_rng(seed, block)
+        live = np.ascontiguousarray(rng.random((bsz, n)).T)
+        size = np.zeros(bsz, dtype=np.int64)
+        cols = np.arange(bsz)
+        for idx in nb_idx:
+            if idx.size == 0:
+                continue
+            pri = live[idx]
+            j = pri.argmin(axis=0)
+            size += pri[j, cols] < np.inf
+            live[idx[j], cols] = np.inf
+        total += float(size.sum())
+        total_sq += float((size.astype(float) ** 2).sum())
+    return online_sim._report(total, total_sq, trials, seed)
+
+
+def _random_instance(n, n_online, degree, seed):
+    rng = np.random.default_rng(seed)
+    return SimInstance(n, 1, tuple(tuple(rng.integers(1, n + 1, size=degree))
+                                   for _ in range(n_online)))
+
+
+# more arrivals than vertices, so arrivals find every neighbor matched
+OVERLOADED = SimInstance(5, 1, tuple(tuple(range(1, 6)) for _ in range(8))
+                         + ((2, 4), (1, 5), (3,)))
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(triangular_instance(30, 1), id="triangular-30"),
+    pytest.param(planted_instance(40, 1, seed=2), id="planted-40"),
+    pytest.param(EMPTY_ARRIVALS, id="empty-arrivals"),
+    pytest.param(OVERLOADED, id="overloaded"),
+    pytest.param(_random_instance(12, 30, 4, 7), id="random-12"),
+])
+def test_ranking_matches_reference(inst):
+    # 1 and 5000 trials end in partial blocks (of 1 and 904), 8192 does not
+    for seed, trials in [(0, 1), (1, 5000), (2, 5000), (9, 8192), (2**128 - 1, 300)]:
+        rep = run_ranking(inst, trials, seed=seed)
+        ref = _ranking_reference(inst, trials, seed)
+        assert (rep.estimate, rep.std_error) == (ref.estimate, ref.std_error)
+
+
+@pytest.mark.parametrize("n", [511, 512, 1023, 1024, 1100])
+def test_ranking_matches_reference_around_packing_limit(n):
+    # up to n = 1023 the keys hold the draws themselves, above it their ranks
+    for inst in (planted_instance(n, 1, 3, seed=n), triangular_instance(n, 1),
+                 _random_instance(n, 2 * n, 2, n)):
+        rep = run_ranking(inst, 300, seed=n)
+        ref = _ranking_reference(inst, 300, n)
+        assert (rep.estimate, rep.std_error) == (ref.estimate, ref.std_error)
+
+
+class _CoarseGenerator:
+    """Draws on the grid k/8, so most trials hold tied priorities."""
+
+    def __init__(self, seed, block):
+        self._rng = np.random.default_rng([seed, block])
+
+    def random(self, size):
+        return self._rng.integers(0, 8, size=size) / 8
+
+
+class _TiedGenerator(_CoarseGenerator):
+    """Every draw is 0: all priorities tie."""
+
+    random = staticmethod(np.zeros)
+
+
+@pytest.mark.parametrize("n", [6, 30, 1100])
+def test_ranking_ties_go_to_lowest_index(monkeypatch, n):
+    monkeypatch.setattr(online_sim, "_block_rng", _CoarseGenerator)
+    runs = [(0, 300), (3, 5000)] if n < 1024 else [(0, 300), (3, 400)]
+    for inst in (triangular_instance(n, 1), _random_instance(n, 2 * n, 3, 1)):
+        for seed, trials in runs:
+            rep = run_ranking(inst, trials, seed=seed)
+            ref = _ranking_reference(inst, trials, seed)
+            assert (rep.estimate, rep.std_error) == (ref.estimate, ref.std_error)
+    # with every priority tied, the first arrival of triangular(2, 1) takes
+    # vertex 1 and leaves vertex 2 for the second
+    monkeypatch.setattr(online_sim, "_block_rng", _TiedGenerator)
+    assert run_ranking(triangular_instance(2, 1), 50, seed=0).estimate == 2.0
 
 
 def exact_ranking_value(inst):
@@ -415,14 +568,23 @@ def test_instance_file_roundtrip(tmp_path):
     assert back.arrivals == inst.arrivals
 
 
-@pytest.mark.parametrize("text", ["x 3 1\n", "2 1 1\n1 y\n", "2 -1 1\n"],
+@pytest.mark.parametrize("text", ["x 3 1\n", "2 1 1\n1 y\n", "2 -1 1\n",
+                                  "3 1 1\n1\n2\n3\n", "3 1 1\n1\n\n",
+                                  "3 2 1\n1\n"],
                          ids=["non-numeric header", "non-numeric arrival",
-                              "negative n_online"])
+                              "negative n_online", "extra arrival lines",
+                              "extra empty arrival line", "missing arrival line"])
 def test_read_instance_rejects_malformed(tmp_path, text):
     path = tmp_path / "inst.txt"
     path.write_text(text)
     with pytest.raises(LpInputError):
         read_instance(path)
+
+
+def test_read_instance_keeps_empty_arrivals(tmp_path):
+    path = tmp_path / "inst.txt"
+    write_instance(EMPTY_ARRIVALS, path)
+    assert read_instance(path) == EMPTY_ARRIVALS
 
 
 def test_instance_validation():

@@ -17,12 +17,16 @@ from .lp_core import (
 )
 from .families import (
     FamilySpec,
+    best_threshold,
     build_balance,
     build_ranking,
     build_secretary,
     build_toy,
+    threshold_policy_value,
+    tight_solution_balance,
     tight_solution_ranking,
     tight_solution_toy,
+    tight_value_balance,
     tight_value_ranking,
     tight_value_toy,
 )
@@ -46,7 +50,6 @@ from .online_sim import (
     SimInstance,
     SimReport,
     SlabStats,
-    best_threshold,
     offline_optimum,
     planted_instance,
     policy_value,
@@ -55,7 +58,6 @@ from .online_sim import (
     run_secretary,
     secretary_policy_from_lp,
     slab_audit,
-    threshold_policy_value,
     triangular_instance,
 )
 from .studies import (

@@ -1,5 +1,8 @@
 """The four parameterized LP families and their exact finite-size oracles.
 
+Every family has a closed-form optimum: toy, balance and ranking from running
+every row tight, secretary from the best threshold rule.
+
 Family instances are built exactly as written: redundant bounds and
 monotonicity rows are materialized rather than substituted away, so the
 matrices can be spot-checked coefficient by coefficient.
@@ -23,7 +26,7 @@ LIMIT_TARGETS = {
     "secretary": INV_E,
 }
 
-# Dense-tableau simplex memory/time budget; recurrence oracles go far beyond.
+# Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
 # (numpy 2.4, OpenBLAS): toy 33 s (4094 pivots, 636 MB peak RSS), balance
 # 15 s, ranking 18 s, secretary 19 s.
@@ -185,3 +188,54 @@ def tight_value_toy(n: int) -> float:
     if n == 1:
         return 1.0
     return -float(np.expm1(n * np.log1p(-1.0 / n)))
+
+
+def tight_solution_balance(N: int) -> np.ndarray:
+    """Optimum of the balance LP with every row tight:
+    x_p = (1 - 1/N)^(p-1) / N, the toy optimum scaled by 1/N."""
+    return tight_solution_toy(N) / N
+
+
+def tight_value_balance(N: int) -> float:
+    """Objective of tight_solution_balance, which telescopes to (1 - 1/N)^N."""
+    _check_size(N, ORACLE_SIZE_CAP)
+    if N == 1:
+        return 0.0
+    return float(np.exp(N * np.log1p(-1.0 / N)))
+
+
+def threshold_policy_value(n: int, k: int) -> float:
+    """Exact success probability of the classical rule that rejects the
+    first k candidates and then takes the first best-so-far one:
+    (k/n) * sum_{j=k}^{n-1} 1/j, or 1/n for k = 0.  numpy sums the tail
+    pairwise, to within a few ulps."""
+    _check_size(n, ORACLE_SIZE_CAP)
+    if not 0 <= k < n:
+        raise LpInputError("need 0 <= k < n")
+    if k == 0:
+        return 1.0 / n
+    inv = np.arange(k, n, dtype=float)
+    return k * float(np.reciprocal(inv, out=inv).sum()) / n
+
+
+def best_threshold(n: int):
+    """(k*, value) maximizing threshold_policy_value over k, the optimum of
+    the secretary LP; ties go to the smallest k, and k = 0 only at n = 1.
+
+    With T_k = sum_{j=k}^{n-1} 1/j, value(k) >= value(k+1) exactly when
+    T_{k+1} <= 1, so k* is the smallest k >= 1 with T_{k+1} <= 1.  A cumsum
+    locates it to within one step (its error is far below the gap 1/k
+    between neighboring T), and the neighbors are then compared on pairwise
+    sums.
+    """
+    _check_size(n, ORACLE_SIZE_CAP)
+    if n == 1:
+        return 0, 1.0
+    tails = np.arange(n - 1, 0, -1, dtype=float)   # tails[i] = T_{n-1-i}
+    np.cumsum(np.reciprocal(tails, out=tails), out=tails)
+    k = max(1, n - 1 - int(np.searchsorted(tails, 1.0, side="right")))
+    del tails
+    ks = range(max(1, k - 1), min(n - 1, k + 1) + 1)
+    values = [threshold_policy_value(n, j) for j in ks]
+    best = int(np.argmax(values))   # the first maximum: the smallest k
+    return ks[best], values[best]

@@ -13,10 +13,11 @@ bit-reproducible and invariant to how blocks are sharded across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+# the threshold-rule values live with the secretary LP; importable from here too
+from .families import best_threshold, threshold_policy_value  # noqa: F401
 from .lp_core import LpInputError
 
 TRIAL_BLOCK = 4096
@@ -51,13 +52,16 @@ class SimInstance:
     def __post_init__(self):
         if self.n_offline < 1 or self.b < 1:
             raise LpInputError("need n_offline >= 1 and b >= 1")
-        cleaned = []
-        for nb in self.arrivals:
-            nb = tuple(sorted(set(map(int, nb))))
-            if nb and (nb[0] < 1 or nb[-1] > self.n_offline):
-                raise LpInputError("neighbor index outside [1, n_offline]")
-            cleaned.append(nb)
-        object.__setattr__(self, "arrivals", tuple(cleaned))
+        cleaned = {}    # each distinct tuple is cleaned once, then reused
+        arrivals = []
+        for nb in map(tuple, self.arrivals):
+            clean = cleaned.get(nb)
+            if clean is None:
+                clean = cleaned[nb] = tuple(sorted(set(map(int, nb))))
+                if clean and (clean[0] < 1 or clean[-1] > self.n_offline):
+                    raise LpInputError("neighbor index outside [1, n_offline]")
+            arrivals.append(clean)
+        object.__setattr__(self, "arrivals", tuple(arrivals))
 
     @property
     def n_online(self) -> int:
@@ -282,40 +286,6 @@ def policy_value(policy: PolicyTable) -> float:
     p = policy.accept_prob
     go_on = np.cumprod(1.0 - p[:-1] / np.arange(1, policy.n))
     return float(p[0] + go_on @ p[1:]) / policy.n
-
-
-def threshold_policy_value(n: int, k: int) -> float:
-    """Exact success probability of the classical rule that rejects the
-    first k candidates and then takes the first best-so-far one.
-
-    Evaluates (k/n) * sum_{i=k+1}^n 1/(i-1) by rational accumulation
-    (probability 1/n for k = 0).
-    """
-    if n < 1:
-        raise LpInputError("n must be >= 1")
-    if not 0 <= k < n:
-        raise LpInputError("need 0 <= k < n")
-    if k == 0:
-        return 1.0 / n
-    acc = Fraction(0)
-    for i in range(k + 1, n + 1):
-        acc += Fraction(1, i - 1)
-    return float(Fraction(k, n) * acc)
-
-
-def best_threshold(n: int):
-    """(k*, value) maximizing threshold_policy_value over k, via exact
-    suffix sums of the harmonic tail."""
-    if n < 1:
-        raise LpInputError("n must be >= 1")
-    best_k, best_v = 0, Fraction(1, n)
-    tail = Fraction(0)   # sum_{i=k+1}^n 1/(i-1)
-    for k in range(n - 1, 0, -1):
-        tail += Fraction(1, k)
-        v = Fraction(k, n) * tail
-        if v >= best_v:
-            best_k, best_v = k, v
-    return best_k, float(best_v)
 
 
 def triangular_instance(n: int, b: int = 1) -> SimInstance:

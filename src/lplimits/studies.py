@@ -10,9 +10,13 @@ from . import families
 from .families import LIMIT_TARGETS
 from .lp_core import CERT_TOL, LpInputError, certify, solve
 
+# The closed-form optimum of each family: it answers past the simplex cap and
+# cross-checks every simplex solve inside it.
 _ORACLES = {
     "toy": families.tight_value_toy,
+    "balance": families.tight_value_balance,
     "ranking": families.tight_value_ranking,
+    "secretary": lambda n: families.best_threshold(n)[1],
 }
 
 CSV_HEADER = "family,n,value,status,ms"
@@ -58,12 +62,10 @@ class LimitFit:
     target_gap: float       # |extrapolated - limit_target|
 
 
-def _sweep_entry(kind, n, oracle, certificates) -> SweepRow:
+def _sweep_entry(kind, n, certificates) -> SweepRow:
     t0 = time.perf_counter()
+    oracle = _ORACLES[kind]
     if n > families.SIMPLEX_SIZE_CAP:
-        if oracle is None:
-            raise LpInputError(
-                f"{kind} size {n} exceeds the simplex cap and has no oracle")
         value, status = oracle(n), "optimal"
     else:
         lp = families._BUILDERS[kind](n)
@@ -73,19 +75,19 @@ def _sweep_entry(kind, n, oracle, certificates) -> SweepRow:
         if certificates and not certify(lp, sol, CERT_TOL).passed:
             raise SweepError(kind, n, "certificate_failed")
         value, status = sol.objective_value, sol.status
-        if oracle is not None and abs(value - oracle(n)) > 1e-9:
+        if abs(value - oracle(n)) > 1e-9:
             raise SweepError(kind, n, "oracle_mismatch")
     ms = (time.perf_counter() - t0) * 1e3
     return SweepRow(n=n, value=value, status=status, ms=ms)
 
 
 def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
-    """One solve (or recurrence-oracle evaluation) per size, ascending.
+    """One solve (or closed-form oracle evaluation) per size, ascending.
 
-    Sizes beyond the simplex cap use the tight-recurrence oracle (toy and
-    ranking only); sizes inside the cap are solved by simplex and, where an
-    oracle exists, cross-checked against it to 1e-9.  Any non-optimal solve
-    aborts the sweep.  Sizes must be positive and distinct.
+    Sizes beyond the simplex cap, up to ORACLE_SIZE_CAP, use the family's
+    closed-form oracle; sizes inside the cap are solved by simplex and
+    cross-checked against it to 1e-9.  Any non-optimal solve aborts the
+    sweep.  Sizes must be positive and distinct.
     """
     if kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
@@ -94,8 +96,7 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
         raise LpInputError("sizes must be positive")
     if len(set(sizes)) < len(sizes):
         raise LpInputError(f"sizes must not repeat, got {sizes}")
-    oracle = _ORACLES.get(kind)
-    rows = [_sweep_entry(kind, n, oracle, certificates) for n in sizes]
+    rows = [_sweep_entry(kind, n, certificates) for n in sizes]
     return SweepTable(family=kind, rows=rows, limit_target=LIMIT_TARGETS[kind])
 
 

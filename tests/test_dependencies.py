@@ -50,7 +50,9 @@ def test_every_test_import_is_declared_for_testing():
 @pytest.mark.parametrize("call,absent", [
     pytest.param("L.offline_optimum(L.triangular_instance(5, 2))",
                  {"scipy", "networkx"}, id="offline-optimum-no-scipy-or-networkx"),
-    pytest.param("", {"scipy"}, id="import-no-scipy"),
+    pytest.param("", {"scipy", "fractions"}, id="import-no-scipy"),
+    pytest.param("L.best_threshold(1000)", {"scipy", "fractions"},
+                 id="best-threshold-no-fractions"),
     pytest.param("L.search_best(1, 1e-2, 1e-2)", {"scipy"}, id="k1-search-no-scipy"),
     pytest.param("L.discretize_profile(lambda t: 0.5 * t, L.FamilySpec('balance', 4))",
                  {"scipy"}, id="bare-callable-discretize-no-scipy"),

@@ -8,14 +8,17 @@ from lplimits import (
     build_ranking,
     build_secretary,
     build_toy,
+    best_threshold,
     check_feasibility,
     solve,
+    tight_solution_balance,
     tight_solution_ranking,
     tight_solution_toy,
+    tight_value_balance,
     tight_value_ranking,
     tight_value_toy,
 )
-from lplimits.families import SIMPLEX_SIZE_CAP
+from lplimits.families import ORACLE_SIZE_CAP, SIMPLEX_SIZE_CAP
 
 INV_E = 1.0 / np.e
 
@@ -121,12 +124,35 @@ def test_tight_toy_oracle():
         assert tight_value_toy(n) == pytest.approx(float(np.mean(x)), abs=1e-13)
 
 
+def test_tight_balance_oracle():
+    assert tight_value_balance(1) == 0.0
+    assert tight_value_balance(2) == pytest.approx(0.25, abs=1e-15)
+    for n in (1, 2, 3, 11, 64):
+        lp = build_balance(n)
+        x = tight_solution_balance(n)
+        assert np.max(np.abs(lp.rows @ x - lp.rhs)) <= 1e-12     # every row tight
+        assert check_feasibility(lp, x, 1e-12).ok
+        assert abs(float(lp.objective @ x) - tight_value_balance(n)) <= 1e-13
+        # (1 - 1/N)^N is the toy complement
+        assert abs(tight_value_balance(n) - (1.0 - tight_value_toy(n))) <= 1e-15
+
+
+def test_oracles_reject_sizes_past_the_cap():
+    for oracle in (tight_value_toy, tight_value_balance, tight_value_ranking,
+                   tight_solution_toy, tight_solution_balance,
+                   tight_solution_ranking, best_threshold):
+        for n in (0, ORACLE_SIZE_CAP + 1):
+            with pytest.raises(LpInputError):
+                oracle(n)
+
+
 @pytest.mark.parametrize("n", list(range(1, 33)) + [64, 128, 256, 512])
 def test_recurrence_matches_simplex(n):
-    assert abs(solve(build_ranking(n)).objective_value
-               - tight_value_ranking(n)) <= 1e-9
-    assert abs(solve(build_toy(n)).objective_value
-               - tight_value_toy(n)) <= 1e-9
+    for build, oracle in [(build_toy, tight_value_toy),
+                          (build_balance, tight_value_balance),
+                          (build_ranking, tight_value_ranking),
+                          (build_secretary, lambda n: best_threshold(n)[1])]:
+        assert abs(solve(build(n)).objective_value - oracle(n)) <= 1e-9
 
 
 def test_monotone_trends_with_frozen_constants():
@@ -146,17 +172,29 @@ def test_monotone_trends_with_frozen_constants():
             assert abs(v - limit) <= TREND_C[kind] / n, (kind, n, v)
 
 
-@pytest.mark.parametrize("oracle,sign", [(tight_value_toy, 1.0),
-                                         (tight_value_ranking, -1.0)])
-def test_oracle_first_order_coefficient(oracle, sign):
-    # value(n) = L + C/n + O(1/n^2) with C = +-1/(2e), since
-    # (1 - 1/n)^n and (n/(n+1))^n are e^-1 (1 -+ 1/(2n) + O(1/n^2))
+@pytest.mark.parametrize("oracle,limit,sign", [
+    pytest.param(tight_value_toy, 1 - INV_E, 1.0, id="tight_value_toy-1.0"),
+    pytest.param(tight_value_ranking, 1 - INV_E, -1.0, id="tight_value_ranking--1.0"),
+    pytest.param(tight_value_balance, INV_E, -1.0, id="tight_value_balance--1.0"),
+])
+def test_oracle_first_order_coefficient(oracle, limit, sign):
+    # value(n) = L + C/n + O(1/n^2) with C = +-1/(2e), since (1 - 1/n)^n
+    # and (n/(n+1))^n are e^-1 (1 -+ 1/(2n) + O(1/n^2))
     ns = np.array([1000.0, 2000.0, 4000.0, 8000.0])
     values = np.array([oracle(int(n)) for n in ns])
     basis = np.column_stack([np.ones_like(ns), 1.0 / ns, 1.0 / ns**2])
     (L, C, _), *_ = np.linalg.lstsq(basis, values, rcond=None)
-    assert abs(L - (1 - INV_E)) <= 1e-9
+    assert abs(L - limit) <= 1e-9
     assert abs(C - sign * INV_E / 2) <= 1e-4
+
+
+def test_secretary_first_order_coefficient():
+    # H_m = ln m + gamma + 1/(2m) + O(1/m^2) makes the best threshold value
+    # 1/e + (1 - 1/e)/(2n) + O(1/n^2).  k* jumps with n, so a fit over
+    # several n misses C by about 1e-4; one large n does not.
+    n = 10**6
+    _, v = best_threshold(n)
+    assert abs(n * (v - INV_E) - (1 - INV_E) / 2) <= 1e-4
 
 
 def test_secretary_implied_bound_at_optimum():

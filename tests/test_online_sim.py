@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from lplimits import (
     triangular_instance,
 )
 from lplimits import online_sim
+from lplimits.families import ORACLE_SIZE_CAP
 from lplimits.online_sim import _blocks, read_instance, write_instance
 
 INV_E = 1.0 / math.e
@@ -536,6 +538,29 @@ def test_slab_stats_invariants():
     assert st.beta_units.sum() == run.value * st.N * st.b
 
 
+def _threshold_policy_value_reference(n, k):
+    """(k/n) * sum_{i=k+1}^n 1/(i-1) by rational accumulation (1/n for k = 0)."""
+    if k == 0:
+        return 1.0 / n
+    acc = Fraction(0)
+    for i in range(k + 1, n + 1):
+        acc += Fraction(1, i - 1)
+    return float(Fraction(k, n) * acc)
+
+
+def _best_threshold_reference(n):
+    """(k*, value) over exact suffix sums of the harmonic tail; ties go to the
+    smallest k."""
+    best_k, best_v = 0, Fraction(1, n)
+    tail = Fraction(0)   # sum_{i=k+1}^n 1/(i-1)
+    for k in range(n - 1, 0, -1):
+        tail += Fraction(1, k)
+        v = Fraction(k, n) * tail
+        if v >= best_v:
+            best_k, best_v = k, v
+    return best_k, float(best_v)
+
+
 def test_threshold_policy_value_examples():
     assert threshold_policy_value(3, 1) == pytest.approx(0.5, abs=1e-15)
     assert threshold_policy_value(2, 0) == pytest.approx(0.5, abs=1e-15)
@@ -544,12 +569,39 @@ def test_threshold_policy_value_examples():
         threshold_policy_value(3, 3)
     with pytest.raises(LpInputError):
         threshold_policy_value(3, -1)
+    with pytest.raises(LpInputError):
+        threshold_policy_value(0, 0)
+
+
+def test_threshold_policy_value_matches_rational_reference():
+    for n in (1, 2, 3, 10, 97, 500):
+        for k in {0, 1, n // 3, n // 2, n - 1} - {n}:
+            assert abs(threshold_policy_value(n, k)
+                       - _threshold_policy_value_reference(n, k)) <= 1e-15
 
 
 def test_threshold_near_one_over_e():
     n = 10_000
     v = threshold_policy_value(n, int(n / math.e))
     assert abs(v - INV_E) <= 1e-3
+
+
+def test_best_threshold_matches_rational_reference():
+    for n in list(range(1, 301)) + [1000, 2000]:
+        k, v = best_threshold(n)
+        k_ref, v_ref = _best_threshold_reference(n)
+        assert k == k_ref, n
+        assert abs(v - v_ref) <= 1e-15, n
+
+
+def test_best_threshold_at_the_oracle_cap():
+    assert online_sim.best_threshold is best_threshold
+    t0 = time.perf_counter()
+    k, v = best_threshold(ORACLE_SIZE_CAP)
+    elapsed = time.perf_counter() - t0
+    assert abs(k / ORACLE_SIZE_CAP - INV_E) <= 1e-6
+    assert INV_E < v < INV_E + 1e-7
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("n", list(range(1, 61)))
@@ -594,3 +646,15 @@ def test_instance_validation():
         SimInstance(2, 1, ((3,),))
     with pytest.raises(LpInputError):
         SimInstance(0, 1, ())
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_instance_validation_of_repeated_tuples(b):
+    for bad in ((0, 1), (1, 3)):
+        with pytest.raises(LpInputError):
+            SimInstance(2, b, ((1, 2),) + (bad,) * b)
+    with pytest.raises(ValueError):
+        SimInstance(2, b, (("x",),) * b)
+    messy = [2, 1, 2]
+    inst = SimInstance(2, b, ((2, 1, 2),) * b + (messy,) * b + ((),))
+    assert inst.arrivals == ((1, 2),) * (2 * b) + ((),)

@@ -11,6 +11,7 @@ from lplimits import (
     sweep_family,
     write_sweep_csv,
 )
+from lplimits.families import ORACLE_SIZE_CAP
 from lplimits.studies import CSV_HEADER, SweepError, SweepRow, SweepTable
 
 INV_E = 1.0 / math.e
@@ -29,6 +30,13 @@ def test_sweep_ranking_mixes_simplex_and_oracle():
     assert vals[-1] < 1 - INV_E
     assert abs(vals[-1] - (1 - INV_E)) < 1e-4
     assert np.all(table.sizes == [2, 8, 32, 10_000, 100_000])
+    # every family has an oracle past the simplex cap
+    for kind in ("toy", "balance", "ranking", "secretary"):
+        table = sweep_family(kind, [2, 8, 32, 10_000, 100_000])
+        assert [r.status for r in table.rows] == ["optimal"] * 5
+        gaps = np.abs(table.values - table.limit_target)
+        assert np.all(np.diff(gaps) < 0), kind
+        assert gaps[-1] < 1e-5, kind
 
 
 def test_sweep_balance_increasing():
@@ -37,9 +45,10 @@ def test_sweep_balance_increasing():
     assert table.values[-1] < INV_E
 
 
-def test_sweep_rejects_oversize_without_oracle():
-    with pytest.raises(LpInputError):
-        sweep_family("balance", [4096])
+def test_sweep_rejects_oversize_and_unknown():
+    for kind in ("toy", "balance", "ranking", "secretary"):
+        with pytest.raises(LpInputError):
+            sweep_family(kind, [ORACLE_SIZE_CAP + 1])
     with pytest.raises(LpInputError):
         sweep_family("nope", [4])
     with pytest.raises(LpInputError):

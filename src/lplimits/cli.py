@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,6 +33,15 @@ def _default_seed() -> int:
     return DEFAULT_SEED if text is None else _int(text, SEED_ENV_VAR)
 
 
+def _emit(payload: dict, as_json: bool) -> None:
+    """One JSON line, or one ``key: value`` line per field."""
+    if as_json:
+        print(json.dumps(payload))
+    else:
+        for k, v in payload.items():
+            print(f"{k}: {v}")
+
+
 def _cmd_solve(args) -> int:
     spec = families.FamilySpec.parse(args.family)
     lp = spec.build()
@@ -50,11 +60,7 @@ def _cmd_solve(args) -> int:
         payload["duality_gap"] = cert.gap
         payload["max_primal_violation"] = cert.primal_feasibility
         payload["certified"] = bool(cert.passed)
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}")
+    _emit(payload, args.json)
     return 0 if sol.status == "optimal" else 1
 
 
@@ -67,8 +73,7 @@ def _cmd_sweep(args) -> int:
     if args.json:
         payload = {
             "family": table.family,
-            "rows": [{"n": r.n, "value": r.value, "status": r.status,
-                      "ms": r.ms} for r in table.rows],
+            "rows": [asdict(r) for r in table.rows],
             "limit_target": table.limit_target,
         }
         if fit:
@@ -173,15 +178,9 @@ def _cmd_simulate(args) -> int:
         report = online_sim.run_secretary(policy, trials=args.trials, seed=seed)
         audit = None
 
-    payload = {"trials": report.trials, "estimate": report.estimate,
-               "std_error": report.std_error, "seed": report.seed}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}")
-        if audit is not None:
-            print(f"slab_audit: {'pass' if audit.passed else f'fail at p={audit.worst_prefix}'}")
+    _emit(asdict(report), args.json)
+    if audit is not None and not args.json:
+        print(f"slab_audit: {'pass' if audit.passed else f'fail at p={audit.worst_prefix}'}")
     return 0
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import FAMILY_TAGS, GE, LE, MAXIMIZE, MINIMIZE, DenseLp, LpInputError
-
-FAMILY_KINDS = FAMILY_TAGS
+from .lp_core import (FAMILY_KINDS, GE, LE, MAXIMIZE, MINIMIZE, DenseLp,
+                      LpInputError, _as_int)
 
 # The limit every family's LP value converges to: 1/e or 1 - 1/e.
 INV_E = 1.0 / np.e
@@ -42,8 +41,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise LpInputError(f"unknown family kind {self.kind!r}")
-        if self.size < 1:
+        size = _as_int(self.size, "family size")
+        if size < 1:
             raise LpInputError("family size must be >= 1")
+        object.__setattr__(self, "size", size)
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -154,6 +155,13 @@ _BUILDERS = {
 }
 
 
+def _geometric(first: int, n: int, log_q: float) -> np.ndarray:
+    """exp(k log_q) for k = first .. first + n - 1, built in its one array."""
+    x = np.arange(first, first + n, dtype=float)
+    x *= log_q
+    return np.exp(x, out=x)
+
+
 def tight_solution_ranking(n: int) -> np.ndarray:
     """Unique optimum of the ranking LP, from running every row tight.
 
@@ -161,8 +169,7 @@ def tight_solution_ranking(n: int) -> np.ndarray:
     geometric sequence x_i = (n/(n+1))^i.
     """
     _check_size(n, ORACLE_SIZE_CAP)
-    log_q = np.log(n) - np.log(n + 1)
-    return np.exp(np.arange(1, n + 1) * log_q)
+    return _geometric(1, n, np.log(n) - np.log(n + 1))
 
 
 def tight_value_ranking(n: int) -> float:
@@ -178,8 +185,7 @@ def tight_solution_toy(n: int) -> np.ndarray:
     _check_size(n, ORACLE_SIZE_CAP)
     if n == 1:
         return np.ones(1)
-    log_q = np.log1p(-1.0 / n)
-    return np.exp(np.arange(n) * log_q)
+    return _geometric(0, n, np.log1p(-1.0 / n))
 
 
 def tight_value_toy(n: int) -> float:
@@ -193,7 +199,9 @@ def tight_value_toy(n: int) -> float:
 def tight_solution_balance(N: int) -> np.ndarray:
     """Optimum of the balance LP with every row tight:
     x_p = (1 - 1/N)^(p-1) / N, the toy optimum scaled by 1/N."""
-    return tight_solution_toy(N) / N
+    x = tight_solution_toy(N)
+    x /= N
+    return x
 
 
 def tight_value_balance(N: int) -> float:

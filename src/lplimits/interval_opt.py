@@ -11,7 +11,7 @@ maximized uniquely by the single interval (1/e, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,9 +26,10 @@ class IntervalSequence:
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 2 or len(pts) % 2:
             raise LpInputError("need an even number (>= 2) of points")
-        if pts[0] <= 0.0 or pts[-1] > 1.0:
+        # negated comparisons, so a NaN point fails them
+        if not (pts[0] > 0.0 and pts[-1] <= 1.0):
             raise LpInputError("points must lie in (0, 1]")
-        if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
+        if not all(p2 > p1 for p1, p2 in zip(pts, pts[1:])):
             raise LpInputError("points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -84,13 +85,7 @@ class SearchResult:
     grid_points_evaluated: int
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "resolution": self.resolution,
-            "best_s": list(self.best_s.points),
-            "best_value": self.best_value,
-            "grid_points_evaluated": self.grid_points_evaluated,
-        }
+        return {**asdict(self), "best_s": list(self.best_s.points)}
 
 
 def _pair_table(grid: np.ndarray, min_sep: float):

@@ -36,11 +36,22 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 LE, GE, EQ = "<=", ">=", "="
 
-FAMILY_TAGS = ("toy", "balance", "ranking", "secretary")
+FAMILY_KINDS = ("toy", "balance", "ranking", "secretary")
 
 
 class LpInputError(ValueError):
     """Rejected LP input (bad shapes, non-finite entries, bad sizes)."""
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int; LpInputError unless it is integer-valued, so 2.7 is
+    refused rather than truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise LpInputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,7 @@ class DenseLp:
                 raise LpInputError(f"non-finite entries in {name}")
         if np.any(lo > hi):
             raise LpInputError("var_lower must not exceed var_upper")
-        if self.family_tag is not None and self.family_tag not in FAMILY_TAGS:
+        if self.family_tag is not None and self.family_tag not in FAMILY_KINDS:
             raise LpInputError(f"unknown family_tag {self.family_tag!r}")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "rows", rows)
@@ -122,8 +133,6 @@ class LpSolution:
 class FeasibilityReport:
     max_violation: float        # max over row residuals and bound residuals
     worst_row: int              # 0-based index of worst row residual, -1 if no rows
-    max_row_violation: float
-    max_bound_violation: float
     tol: float
 
     @property
@@ -171,13 +180,8 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
     row_viol = float(np.max(res, initial=0.0))
     bound_viol = float(max(np.max(lp.var_lower - x, initial=0.0),
                            np.max(x - lp.var_upper, initial=0.0)))
-    return FeasibilityReport(
-        max_violation=max(row_viol, bound_viol),
-        worst_row=worst,
-        max_row_violation=row_viol,
-        max_bound_violation=bound_viol,
-        tol=tol,
-    )
+    return FeasibilityReport(max_violation=max(row_viol, bound_viol),
+                             worst_row=worst, tol=tol)
 
 
 def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:

@@ -18,7 +18,7 @@ import numpy as np
 
 # the threshold-rule values live with the secretary LP; importable from here too
 from .families import best_threshold, threshold_policy_value  # noqa: F401
-from .lp_core import LpInputError
+from .lp_core import LpInputError, _as_int
 
 TRIAL_BLOCK = 4096
 DEFAULT_TRIALS = 100_000
@@ -50,17 +50,26 @@ class SimInstance:
     arrivals: tuple
 
     def __post_init__(self):
-        if self.n_offline < 1 or self.b < 1:
+        n, b = _as_int(self.n_offline, "n_offline"), _as_int(self.b, "b")
+        if n < 1 or b < 1:
             raise LpInputError("need n_offline >= 1 and b >= 1")
         cleaned = {}    # each distinct tuple is cleaned once, then reused
         arrivals = []
         for nb in map(tuple, self.arrivals):
             clean = cleaned.get(nb)
             if clean is None:
-                clean = cleaned[nb] = tuple(sorted(set(map(int, nb))))
-                if clean and (clean[0] < 1 or clean[-1] > self.n_offline):
+                try:
+                    ints = tuple(map(int, nb))
+                except (TypeError, ValueError, OverflowError):
+                    ints = None
+                if ints != nb:      # so 1.7 is refused rather than truncated
+                    raise LpInputError(f"non-integer neighbor index in {nb!r}")
+                clean = cleaned[nb] = tuple(sorted(set(ints)))
+                if clean and (clean[0] < 1 or clean[-1] > n):
                     raise LpInputError("neighbor index outside [1, n_offline]")
             arrivals.append(clean)
+        object.__setattr__(self, "n_offline", n)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "arrivals", tuple(arrivals))
 
     @property
@@ -91,6 +100,17 @@ class PolicyTable:
     n: int
     accept_prob: np.ndarray
     reachable: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.accept_prob, dtype=float)
+        if p.ndim != 1 or p.size < 1 or p.size != self.n:
+            raise LpInputError(
+                f"accept_prob must be a vector of n = {self.n} >= 1 entries")
+        if not np.all((p >= 0.0) & (p <= 1.0)):     # NaN fails too
+            raise LpInputError("accept_prob entries must lie in [0, 1]")
+        if np.shape(self.reachable) != p.shape:
+            raise LpInputError("reachable must have the shape of accept_prob")
+        object.__setattr__(self, "accept_prob", p)
 
 
 @dataclass(frozen=True)
@@ -245,8 +265,7 @@ def secretary_policy_from_lp(x) -> PolicyTable:
             f"x is not feasible for the secretary LP (violation {violation:.3g})")
     denom = 1.0 - prior
     reachable = denom > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(reachable, x * i / np.where(reachable, denom, 1.0), 0.0)
+    p = np.where(reachable, x * i / np.where(reachable, denom, 1.0), 0.0)
     # feasibility bounds p by 1; clamp the tolerance spill
     p = np.clip(p, 0.0, 1.0)
     return PolicyTable(n=n, accept_prob=p, reachable=reachable)
@@ -304,6 +323,10 @@ def planted_instance(n: int, b: int, extra_degree: int = 2,
     """Random instance with a planted perfect b-matching: every bidder owns b
     dedicated queries, each padded with random extra neighbors, in a shuffled
     arrival order."""
+    n, b = _as_int(n, "n"), _as_int(b, "b")
+    extra_degree = _as_int(extra_degree, "extra_degree")
+    if n < 1 or b < 1 or extra_degree < 0:
+        raise LpInputError("need n >= 1, b >= 1 and extra_degree >= 0")
     rng = _block_rng(seed, 0)
     # one draw of every extra neighbor: the same stream as a draw per arrival
     extras = rng.integers(1, n + 1, size=(n * b, extra_degree)).tolist()

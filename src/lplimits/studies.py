@@ -8,7 +8,7 @@ import numpy as np
 
 from . import families
 from .families import LIMIT_TARGETS
-from .lp_core import CERT_TOL, LpInputError, certify, solve
+from .lp_core import CERT_TOL, LpInputError, _as_int, certify, solve
 
 # The closed-form optimum of each family: it answers past the simplex cap and
 # cross-checks every simplex solve inside it.
@@ -91,7 +91,7 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     """
     if kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
-    sizes = sorted(int(n) for n in sizes)
+    sizes = sorted(_as_int(n, "sweep size") for n in sizes)
     if not sizes or sizes[0] < 1:
         raise LpInputError("sizes must be positive")
     if len(set(sizes)) < len(sizes):

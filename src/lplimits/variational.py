@@ -73,6 +73,8 @@ PROFILES = {p.tag: p for p in (
 def eval_profile(profile: ContinuumProfile | str, t: float) -> float:
     """Closed-form profile value at a point of [0, 1]."""
     if isinstance(profile, str):
+        if profile not in PROFILES:
+            raise LpInputError(f"unknown profile tag {profile!r}")
         profile = PROFILES[profile]
     if not 0.0 <= t <= 1.0:
         raise LpInputError(f"t={t} outside [0, 1]")
@@ -128,8 +130,6 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
 
 @dataclass(frozen=True)
 class DiscretizationGap:
-    family: str
-    size: int
     max_violation: float
     lp_objective: float
     continuum_objective: float
@@ -179,15 +179,15 @@ def discretize_profile(profile, family: FamilySpec):
     lp = family.build()
     report = check_feasibility(lp, x, tol=2.0 / n)
     lp_obj = float(lp.objective @ x)
-    gap = DiscretizationGap(family=family.kind, size=n,
-                            max_violation=report.max_violation,
+    gap = DiscretizationGap(max_violation=report.max_violation,
                             lp_objective=lp_obj,
                             continuum_objective=float(continuum))
     return x, gap
 
 
-def _quadrature_objective(g, kind: str, panels: int = 100_000) -> float:
-    """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1); panels is even."""
+def _quadrature_objective(g, kind: str) -> float:
+    """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1)."""
+    panels = 100_000   # even
     t = np.linspace(0.0, 1.0, panels + 1)
     gv = np.asarray(g(t), dtype=float)
     y = gv * ((1.0 - t) if kind == "balance" else np.ones_like(t))
@@ -255,13 +255,6 @@ def _segment_derivative(t: np.ndarray, y: np.ndarray, runs) -> np.ndarray:
     return dy
 
 
-def _runs_of(mask: np.ndarray):
-    """Maximal runs of constant mask value, as (start, stop, value)."""
-    starts = np.flatnonzero(np.diff(mask, prepend=~mask[0]))
-    stops = np.append(starts[1:] - 1, mask.size - 1)
-    return [(int(a), int(b), bool(mask[a])) for a, b in zip(starts, stops)]
-
-
 def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     """Construct Lagrange multipliers for a secretary u-trajectory and report
     how badly the stationarity conditions fail.
@@ -294,21 +287,22 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     slope_in[1:] = du / np.diff(t)
     slope_in[0] = slope_in[1]
     active = slope_in > ACTIVITY_THRESHOLD
-    run_list = _runs_of(active)
-    runs = [(a, b) for a, b, _ in run_list]
+    # maximal runs of constant activity, as inclusive index ranges [a, b]
+    starts = np.flatnonzero(np.diff(active, prepend=~active[0])).tolist()
+    runs = list(zip(starts, [a - 1 for a in starts[1:]] + [active.size - 1]))
 
     w_sq = _segment_derivative(t, u, runs)   # w^2 = du/dt
     v_sq = 1.0 - u - w_sq * t
 
     mu1 = np.where(active, -np.log(t) - 1.0, 0.0)
     mu2 = np.where(active, t * (1.0 + mu1), 0.0)
-    for idx, (a, b, is_active) in enumerate(run_list):
-        if is_active:
+    for a, b in runs:
+        if active[a]:
             continue
-        if idx > 0:
-            mu2[a:b + 1] = mu2[run_list[idx - 1][1]]   # carry from the left
-        elif idx + 1 < len(run_list):
-            mu2[a:b + 1] = mu2[run_list[idx + 1][0]]   # lead-in: match ahead
+        if a > 0:
+            mu2[a:b + 1] = mu2[a - 1]   # carry from the left
+        elif b + 1 < active.size:
+            mu2[a:b + 1] = mu2[b + 1]   # lead-in: match ahead
 
     mu2_dot = _segment_derivative(t, mu2, runs)
     res_stat = float(np.max(np.abs(mu2_dot - mu1)))

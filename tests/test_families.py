@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,29 @@ def test_secretary_implied_bound_at_optimum():
         sol = solve(build_secretary(n))
         i = np.arange(1, n + 1)
         assert np.all(sol.x * i <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("oracle", [tight_solution_toy, tight_solution_ranking,
+                                    tight_solution_balance])
+def test_oracle_solution_builds_in_one_array(oracle):
+    # exp(k log q) is written into its one float array, so a 10^7-point
+    # oracle never holds a second n-float temporary
+    n = 10**6
+    oracle(8)   # first-call allocations are not the oracle's
+    tracemalloc.start()
+    try:
+        x = oracle(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (n,)
+    assert peak <= 1.1 * 8 * n
+
+
+def test_family_spec_rejects_non_integer_size():
+    with pytest.raises(LpInputError, match="integer"):
+        FamilySpec("toy", 2.5)
+    for size in (3, 3.0, np.int64(3)):
+        spec = FamilySpec("toy", size)
+        assert spec.size == 3 and type(spec.size) is int
+        assert spec.build().n_vars == 3

@@ -201,3 +201,11 @@ def test_search_validation():
         for sep in (math.nan, math.inf):
             with pytest.raises(LpInputError, match="min_separation"):
                 search_best(K, 1e-2, sep)
+
+
+@pytest.mark.parametrize("points", [(math.nan, 0.5), (0.2, math.nan),
+                                    (0.1, math.nan, 0.3, 0.5),
+                                    (0.1, 0.2, 0.3, math.nan)])
+def test_interval_sequence_rejects_nan(points):
+    with pytest.raises(LpInputError):
+        IntervalSequence(points)

@@ -658,3 +658,42 @@ def test_instance_validation_of_repeated_tuples(b):
     messy = [2, 1, 2]
     inst = SimInstance(2, b, ((2, 1, 2),) * b + (messy,) * b + ((),))
     assert inst.arrivals == ((1, 2),) * (2 * b) + ((),)
+
+
+@pytest.mark.parametrize("accept_prob, reachable", [
+    (np.array([0.0, np.nan, 1.0]), np.ones(3, bool)),   # NaN
+    (np.array([0.0, 2.0, 1.0]), np.ones(3, bool)),      # above 1
+    (np.array([0.0, -0.5, 1.0]), np.ones(3, bool)),     # below 0
+    (np.ones(4), np.ones(4, bool)),                     # size is not n
+    (np.ones((3, 1)), np.ones((3, 1), bool)),           # not a vector
+    (np.ones(3), np.ones(2, bool)),                     # reachable misshapen
+])
+def test_policy_table_validation(accept_prob, reachable):
+    with pytest.raises(LpInputError):
+        PolicyTable(n=3, accept_prob=accept_prob, reachable=reachable)
+
+
+def test_policy_table_needs_a_position():
+    with pytest.raises(LpInputError):
+        PolicyTable(n=0, accept_prob=np.ones(0), reachable=np.ones(0, bool))
+
+
+@pytest.mark.parametrize("arrivals", [(("a",),), ((1.7,),), ((1, math.nan),),
+                                      ((math.inf,),)])
+def test_instance_rejects_non_integer_neighbors(arrivals):
+    with pytest.raises(LpInputError, match="non-integer"):
+        SimInstance(3, 1, arrivals)
+
+
+def test_instance_keeps_integer_valued_inputs():
+    inst = SimInstance(3.0, np.int64(2), ((2.0, np.int64(1)), (3,)))
+    assert (inst.n_offline, inst.b) == (3, 2)
+    assert inst.arrivals == ((1, 2), (3,))
+    with pytest.raises(LpInputError, match="integer"):
+        SimInstance(3.5, 1, ())
+
+
+@pytest.mark.parametrize("extra_degree", [-1, 1.5])
+def test_planted_instance_rejects_bad_extra_degree(extra_degree):
+    with pytest.raises(LpInputError, match="extra_degree"):
+        planted_instance(5, 1, extra_degree=extra_degree)

@@ -133,3 +133,11 @@ def test_csv_schema_golden(tmp_path):
     assert float(first[2]) == pytest.approx(0.75)
     assert first[3] == "optimal"
     float(first[4])  # parseable milliseconds
+
+
+def test_sweep_rejects_non_integer_sizes():
+    with pytest.raises(LpInputError, match="integer"):
+        sweep_family("toy", [2.7, 5])
+    with pytest.raises(LpInputError, match="integer"):
+        sweep_family("toy", ["a"])
+    assert sweep_family("toy", [2.0, np.int64(5)]).sizes.tolist() == [2, 5]

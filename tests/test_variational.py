@@ -365,3 +365,8 @@ def test_multiplier_constant_candidate_has_zero_multipliers():
     prof, rep = multiplier_check(t, np.full(t.size, 0.25))
     assert not rep.active.any()
     assert np.all(prof.mu1 == 0.0) and np.all(prof.mu2 == 0.0)
+
+
+def test_eval_profile_rejects_unknown_tag():
+    with pytest.raises(LpInputError, match="unknown profile tag"):
+        eval_profile("Nope", 0.5)

@@ -1,8 +1,9 @@
 """Command-line interface: solves, sweeps, continuum checks, simulations.
 
-Exit code 0 on success; any failure prints a machine-readable JSON object on
-stderr and exits nonzero.  The default Monte Carlo seed can be overridden
-with the LPLIMITS_SEED environment variable.
+Exit code 0 on success and 1 when a solve or check fails; any error, a
+malformed flag included, prints a machine-readable JSON object on stderr and
+exits 2.  The default Monte Carlo seed can be overridden with the
+LPLIMITS_SEED environment variable.
 """
 from __future__ import annotations
 
@@ -15,22 +16,22 @@ from dataclasses import asdict
 import numpy as np
 
 from . import families, interval_opt, online_sim, studies, variational
-from .lp_core import LpInputError, certify, dump_lp, solve
+from .lp_core import LpInputError, _as_int, certify, dump_lp, solve
 
 SEED_ENV_VAR = "LPLIMITS_SEED"
 DEFAULT_SEED = 20240601
 
 
-def _int(text: str, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise LpInputError(f"{name} must be an integer, got {text!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """Its errors raise LpInputError, not exit, to take main's JSON error path."""
+
+    def error(self, message):
+        raise LpInputError(f"{self.prog}: {message}")
 
 
 def _default_seed() -> int:
     text = os.environ.get(SEED_ENV_VAR)
-    return DEFAULT_SEED if text is None else _int(text, SEED_ENV_VAR)
+    return DEFAULT_SEED if text is None else _as_int(text, SEED_ENV_VAR)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -65,8 +66,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sizes = [_int(s, "--sizes") for s in args.sizes.split(",") if s.strip()]
-    table = studies.sweep_family(args.family, sizes)
+    sizes = [_as_int(s, "--sizes") for s in args.sizes.split(",") if s.strip()]
+    table = studies.sweep_family(args.family, sizes, certificates=True)
     fit = studies.limit_estimate(table) if args.extrapolate else None
     if args.out:
         studies.write_sweep_csv(table, args.out)
@@ -101,11 +102,8 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_vc_check(args) -> int:
-    profile = variational.PROFILES.get(args.profile)
-    if profile is None:
-        raise LpInputError(f"unknown profile tag {args.profile!r}")
     spec = families.FamilySpec.parse(args.family)
-    _, gap = variational.discretize_profile(profile, spec)
+    _, gap = variational.discretize_profile(variational.PROFILES[args.profile], spec)
     print(f"{args.profile} -> {spec.kind}:{spec.size}")
     print(f"max constraint violation: {gap.max_violation:.3e} (bound 2/n = {2.0 / spec.size:.3e})")
     print(f"objective: lp {gap.lp_objective:.8f} vs continuum "
@@ -116,8 +114,7 @@ def _cmd_vc_check(args) -> int:
 def _cmd_kkt_check(args) -> int:
     if not 0.0 <= args.perturb < np.inf:
         raise LpInputError(f"--perturb must be finite and >= 0, got {args.perturb}")
-    g = int(args.grid)
-    t = np.arange(1, g + 1) / g
+    t = np.arange(1, args.grid + 1) / args.grid
     u = variational.SECRETARY_U(t)
     _, rep = variational.multiplier_check(t, u, tol=args.tol)
     print(f"candidate residuals: stationarity {rep.residual_stationarity:.3e}, "
@@ -147,7 +144,7 @@ def _load_sim_instance(args) -> online_sim.SimInstance:
     if args.instance:
         return online_sim.read_instance(args.instance)
     if args.planted:
-        parts = [_int(v, "--planted") for v in args.planted.split(",")]
+        parts = [_as_int(v, "--planted") for v in args.planted.split(",")]
         if len(parts) > 2:
             raise LpInputError(f"--planted takes n or n,b, got {args.planted!r}")
         return online_sim.triangular_instance(*parts)
@@ -170,7 +167,7 @@ def _cmd_simulate(args) -> int:
     else:
         if not args.policy_from_lp:
             raise LpInputError("secretary simulation needs --policy-from-lp n")
-        n = _int(args.policy_from_lp, "--policy-from-lp")
+        n = _as_int(args.policy_from_lp, "--policy-from-lp")
         sol = solve(families.build_secretary(n))
         if sol.status != "optimal":
             raise LpInputError(f"secretary LP n={n} did not solve: status {sol.status!r}")
@@ -185,7 +182,7 @@ def _cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lplimits")
+    ap = _Parser(prog="lplimits")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one family instance")
@@ -203,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("ode", help="integrate a tight-constraint ODE")
-    p.add_argument("--kind", required=True, choices=("balance", "ranking"))
+    p.add_argument("--kind", required=True, choices=variational.ODE_TERMINAL)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", default=None, metavar="CSV")
     p.set_defaults(fn=_cmd_ode)
 
     p = sub.add_parser("vc-check", help="discretization gap of a profile")
-    p.add_argument("--profile", required=True)
+    p.add_argument("--profile", required=True, choices=variational.PROFILES)
     p.add_argument("--family", required=True, metavar="KIND:N")
     p.set_defaults(fn=_cmd_vc_check)
 
@@ -243,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except Exception as exc:  # machine-readable failure on stderr
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}),

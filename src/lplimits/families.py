@@ -41,38 +41,34 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise LpInputError(f"unknown family kind {self.kind!r}")
-        size = _as_int(self.size, "family size")
-        if size < 1:
-            raise LpInputError("family size must be >= 1")
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", _check_size(self.size, ORACLE_SIZE_CAP))
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
         """Parse a ``kind:n`` CLI string, e.g. ``ranking:512``."""
-        kind, sep, size_s = text.partition(":")
+        kind, sep, size = text.partition(":")
         if not sep:
             raise LpInputError(f"expected 'kind:n', got {text!r}")
-        try:
-            size = int(size_s)
-        except ValueError:
-            raise LpInputError(f"bad family size {size_s!r}") from None
         return cls(kind=kind.strip(), size=size)
 
     def build(self) -> DenseLp:
         return _BUILDERS[self.kind](self.size)
 
 
-def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> None:
+def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> int:
+    """n as an int within [1, cap]; LpInputError otherwise."""
+    n = _as_int(n, "family size")
     if n < 1:
         raise LpInputError("family size must be >= 1")
     if n > cap:
         raise LpInputError(f"family size {n} exceeds cap {cap}")
+    return n
 
 
 def build_toy(n: int) -> DenseLp:
     """minimize (1/n) sum x_i over x in [0,1]^n with
     1 - x_i <= (1/n) sum_{l<i} x_l and x_i >= x_{i+1}."""
-    _check_size(n)
+    n = _check_size(n)
     rows = np.tril(np.full((n, n), 1.0 / n), k=-1)
     rows[np.diag_indices(n)] += 1.0  # move x_i to the left-hand side
     mono = np.zeros((n - 1, n))
@@ -94,7 +90,7 @@ def build_toy(n: int) -> DenseLp:
 def build_balance(N: int) -> DenseLp:
     """maximize sum x_i (1 - i/N) over x in [0,1]^N with
     sum_{i<=p} x_i (1 + (p-i)/N) <= p/N for every p."""
-    _check_size(N)
+    N = _check_size(N)
     p = np.arange(1, N + 1)[:, None]
     i = np.arange(1, N + 1)[None, :]
     rows = np.where(i <= p, 1.0 + (p - i) / N, 0.0)
@@ -113,7 +109,7 @@ def build_balance(N: int) -> DenseLp:
 def build_ranking(n: int) -> DenseLp:
     """minimize (1/n) sum x_i over x in [0,1]^n with
     x_i + (1/n) sum_{j<=i} x_j >= 1."""
-    _check_size(n)
+    n = _check_size(n)
     rows = np.tril(np.full((n, n), 1.0 / n))
     rows[np.diag_indices(n)] += 1.0
     return DenseLp(
@@ -132,7 +128,7 @@ def build_secretary(n: int) -> DenseLp:
     """maximize sum x_i (i/n) over x in [0,1]^n with
     i x_i <= 1 - sum_{l<i} x_l.  The x_i <= 1 bounds are kept even though
     x_i <= 1/i is implied, so the feasible set matches the printed program."""
-    _check_size(n)
+    n = _check_size(n)
     rows = np.tril(np.ones((n, n)), k=-1)
     rows[np.diag_indices(n)] = np.arange(1, n + 1, dtype=float)
     return DenseLp(
@@ -168,21 +164,21 @@ def tight_solution_ranking(n: int) -> np.ndarray:
     Solving x_i (1 + 1/n) = 1 - (1/n) sum_{j<i} x_j forward in i gives the
     geometric sequence x_i = (n/(n+1))^i.
     """
-    _check_size(n, ORACLE_SIZE_CAP)
+    n = _check_size(n, ORACLE_SIZE_CAP)
     return _geometric(1, n, np.log(n) - np.log(n + 1))
 
 
 def tight_value_ranking(n: int) -> float:
     """Objective of tight_solution_ranking without materializing it:
     1 - (n/(n+1))^n, evaluated in log space."""
-    _check_size(n, ORACLE_SIZE_CAP)
+    n = _check_size(n, ORACLE_SIZE_CAP)
     return -float(np.expm1(-n * np.log1p(1.0 / n)))
 
 
 def tight_solution_toy(n: int) -> np.ndarray:
     """Optimum of the toy LP: x_1 = 1, then equality forward gives
     x_i = (1 - 1/n)^(i-1)."""
-    _check_size(n, ORACLE_SIZE_CAP)
+    n = _check_size(n, ORACLE_SIZE_CAP)
     if n == 1:
         return np.ones(1)
     return _geometric(0, n, np.log1p(-1.0 / n))
@@ -190,7 +186,7 @@ def tight_solution_toy(n: int) -> np.ndarray:
 
 def tight_value_toy(n: int) -> float:
     """Objective of tight_solution_toy: 1 - (1 - 1/n)^n."""
-    _check_size(n, ORACLE_SIZE_CAP)
+    n = _check_size(n, ORACLE_SIZE_CAP)
     if n == 1:
         return 1.0
     return -float(np.expm1(n * np.log1p(-1.0 / n)))
@@ -200,13 +196,13 @@ def tight_solution_balance(N: int) -> np.ndarray:
     """Optimum of the balance LP with every row tight:
     x_p = (1 - 1/N)^(p-1) / N, the toy optimum scaled by 1/N."""
     x = tight_solution_toy(N)
-    x /= N
+    x /= x.size
     return x
 
 
 def tight_value_balance(N: int) -> float:
     """Objective of tight_solution_balance, which telescopes to (1 - 1/N)^N."""
-    _check_size(N, ORACLE_SIZE_CAP)
+    N = _check_size(N, ORACLE_SIZE_CAP)
     if N == 1:
         return 0.0
     return float(np.exp(N * np.log1p(-1.0 / N)))
@@ -217,7 +213,7 @@ def threshold_policy_value(n: int, k: int) -> float:
     first k candidates and then takes the first best-so-far one:
     (k/n) * sum_{j=k}^{n-1} 1/j, or 1/n for k = 0.  numpy sums the tail
     pairwise, to within a few ulps."""
-    _check_size(n, ORACLE_SIZE_CAP)
+    n, k = _check_size(n, ORACLE_SIZE_CAP), _as_int(k, "k")
     if not 0 <= k < n:
         raise LpInputError("need 0 <= k < n")
     if k == 0:
@@ -236,7 +232,7 @@ def best_threshold(n: int):
     between neighboring T), and the neighbors are then compared on pairwise
     sums.
     """
-    _check_size(n, ORACLE_SIZE_CAP)
+    n = _check_size(n, ORACLE_SIZE_CAP)
     if n == 1:
         return 0, 1.0
     tails = np.arange(n - 1, 0, -1, dtype=float)   # tails[i] = T_{n-1-i}

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lp_core import LpInputError
+from .lp_core import LpInputError, _as_int
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
     Strict orderings are realized as gaps >= min_separation, so degenerate
     configurations are approached but never attained.
     """
+    K = _as_int(K, "K")
     if K not in (1, 2):
         raise LpInputError("exhaustive search supports K in {1, 2}")
     if not 0 < resolution <= 1e-2:

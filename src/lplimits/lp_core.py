@@ -44,10 +44,10 @@ class LpInputError(ValueError):
 
 
 def _as_int(value, name: str) -> int:
-    """value as an int; LpInputError unless it is integer-valued, so 2.7 is
-    refused rather than truncated."""
+    """value as an int: an integer-valued number or the decimal text of one;
+    LpInputError otherwise, so 2.7 is refused rather than truncated."""
     try:
-        if int(value) == value:
+        if isinstance(value, str) or int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -461,7 +461,7 @@ def load_lp(path, family_tag: str | None = None) -> DenseLp:
         lines = [ln.split() for ln in fh if ln.strip()]
     try:
         sense, n_s, m_s = lines[0]
-        n, m = int(n_s), int(m_s)
+        n, m = _as_int(n_s, "n_vars"), _as_int(m_s, "n_rows")
         if n < 1 or m < 0 or len(lines) != m + 4:
             raise ValueError(f"header declares {n} variables and {m} rows, "
                              f"so {m + 4} lines, but the file has {len(lines)}")

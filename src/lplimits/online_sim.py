@@ -28,6 +28,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Independent substream for one trial block; streams are spaced 2^128
     Philox counters apart.  The seed is the Philox key, so it must lie in
     [0, 2^128)."""
+    seed = _as_int(seed, "seed")
     if not 0 <= seed < 1 << 128:
         raise LpInputError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
@@ -102,14 +103,16 @@ class PolicyTable:
     reachable: np.ndarray
 
     def __post_init__(self):
+        n = _as_int(self.n, "n")
         p = np.asarray(self.accept_prob, dtype=float)
-        if p.ndim != 1 or p.size < 1 or p.size != self.n:
+        if p.ndim != 1 or p.size < 1 or p.size != n:
             raise LpInputError(
-                f"accept_prob must be a vector of n = {self.n} >= 1 entries")
+                f"accept_prob must be a vector of n = {n} >= 1 entries")
         if not np.all((p >= 0.0) & (p <= 1.0)):     # NaN fails too
             raise LpInputError("accept_prob entries must lie in [0, 1]")
         if np.shape(self.reachable) != p.shape:
             raise LpInputError("reachable must have the shape of accept_prob")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "accept_prob", p)
 
 
@@ -137,6 +140,7 @@ class BalanceRun:
 def run_balance(instance: SimInstance, n_slabs: int = 20) -> BalanceRun:
     """Deterministic BALANCE: each arrival goes to the neighbor with the
     largest remaining capacity (ties to the lowest index), earning 1/b."""
+    n_slabs = _as_int(n_slabs, "n_slabs")
     if n_slabs < 1:
         raise LpInputError("n_slabs must be >= 1")
     n, b = instance.n_offline, instance.b
@@ -200,6 +204,7 @@ def run_ranking(instance: SimInstance, trials: int,
     """
     if instance.b != 1:
         raise LpInputError("RANKING requires unit capacities (b = 1)")
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise LpInputError("trials must be >= 1")
     n = instance.n_offline
@@ -279,6 +284,7 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
     reachable best-so-far position accept with the policy's probability;
     success means the accepted candidate is the global best.
     """
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise LpInputError("trials must be >= 1")
     n = policy.n
@@ -311,6 +317,7 @@ def triangular_instance(n: int, b: int = 1) -> SimInstance:
     """Adversarial instance: phase t brings b copies of a query whose
     neighbors are bidders {t..n}; assigning phase t to bidder t is a planted
     perfect b-matching (OPT = n budget units)."""
+    n, b = _as_int(n, "n"), _as_int(b, "b")
     arrivals = []
     for t in range(1, n + 1):
         nb = tuple(range(t, n + 1))
@@ -382,24 +389,16 @@ def write_instance(instance: SimInstance, path) -> None:
             fh.write(" ".join(str(u) for u in nb) + "\n")
 
 
-def _ints(fields, where: str) -> tuple:
-    try:
-        return tuple(int(v) for v in fields)
-    except ValueError:
-        raise LpInputError(
-            f"non-integer value in {where}: {' '.join(fields)!r}") from None
-
-
 def read_instance(path) -> SimInstance:
     """Parse the write_instance format; malformed files raise LpInputError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise LpInputError("instance header must be 'n_offline n_online b'")
-        n, n_online, b = _ints(header, "instance header")
+        n, n_online, b = (_as_int(v, "instance header") for v in header)
         if n_online < 0:
             raise LpInputError("instance header needs n_online >= 0")
-        arrivals = [_ints(line.split(), f"arrival line {t}")
+        arrivals = [tuple(_as_int(v, f"arrival line {t}") for v in line.split())
                     for t, line in enumerate(fh, 1)]
     if len(arrivals) != n_online:
         raise LpInputError(f"instance file has {len(arrivals)} arrival lines, "

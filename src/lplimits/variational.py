@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec
+from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec, _geometric
 from .lp_core import LpInputError, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
@@ -111,6 +111,7 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     distance to that line by R = 1 - q, q = h - h^2/2 + h^3/6 - h^4/24: the
     RK4 iterates are y_k = alpha + beta (t_k - 1) + (beta - alpha) R^k, with
     R^k taken as exp(k log1p(-q)) so the rounding of R does not grow with k.
+    The values are built in place: three arrays of n + 1 floats at the peak.
     """
     if kind not in _ODE_RHS:
         raise LpInputError(f"unknown ode kind {kind!r}")
@@ -123,8 +124,12 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     h = 1.0 / n
     q = h * (1.0 - h / 2 * (1.0 - h / 3 * (1.0 - h / 4)))
     ts = np.linspace(0.0, 1.0, n + 1)
-    decay = np.exp(np.arange(n + 1) * np.log1p(-q))
-    ys = alpha + beta * (ts - 1.0) + (beta - alpha) * decay
+    ys = ts - 1.0
+    ys *= beta
+    ys += alpha
+    decay = _geometric(0, n + 1, np.log1p(-q))
+    decay *= beta - alpha
+    ys += decay
     return OdeTrajectory(kind=kind, ts=ts, values=ys)
 
 

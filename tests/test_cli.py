@@ -301,3 +301,82 @@ def test_simulate_instance_file(capsys, tmp_path):
                            "--json")
     assert code == 0
     assert strict_json(out)["trials"] == 400
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("simulate", "ranking", "--planted", "5", "--trials", "abc"),
+                 id="trials-abc"),
+    pytest.param(("simulate", "ranking", "--planted", "5", "--seed", "1.5"),
+                 id="seed-1.5"),
+    pytest.param(("ode", "--kind", "balance", "--step", "x"), id="step-x"),
+    pytest.param(("sweep", "--family", "nope", "--sizes", "4"), id="bad-choice"),
+    pytest.param(("interval-search", "--k", "3", "--resolution", "0.01"), id="k-3"),
+    pytest.param(("sweep", "--sizes", "4"), id="missing-family"),
+    pytest.param(("vc-check", "--profile", "Nope", "--family", "toy:4"),
+                 id="bad-profile"),
+    pytest.param(("solve", "--family", "toy:4", "--bogus"), id="unknown-flag"),
+    pytest.param((), id="no-subcommand"),
+])
+def test_argparse_failure_is_json_error(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = strict_json(err)
+    assert set(payload) == {"error", "type"}
+    assert payload["type"] == "LpInputError"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: lplimits sweep") and captured.err == ""
+
+
+def test_sweep_certifies_every_simplex_optimum(capsys, monkeypatch):
+    from lplimits import studies
+
+    calls = []
+
+    def spy(lp, sol, tol):
+        calls.append(lp.n_vars)
+        return certify(lp, sol, tol)
+
+    monkeypatch.setattr(studies, "certify", spy)
+    code, _, _ = run_cli(capsys, "sweep", "--family", "ranking", "--sizes", "4,8,4096")
+    assert code == 0
+    assert calls == [4, 8]      # 4096 is past the simplex cap: oracle only
+
+
+def test_sweep_failed_certificate_is_json_error(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from lplimits import studies
+
+    monkeypatch.setattr(studies, "certify",
+                        lambda lp, sol, tol: replace(certify(lp, sol, tol), passed=False))
+    code, out, err = run_cli(capsys, "sweep", "--family", "toy", "--sizes", "4,8",
+                             "--json")
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "SweepError"
+    assert "n=4" in payload["error"] and "certificate_failed" in payload["error"]
+
+
+def test_readme_command_lines_parse():
+    import re
+    import shlex
+    from pathlib import Path
+
+    from lplimits.cli import build_parser
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("lplimits ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

@@ -1,0 +1,93 @@
+"""Every integer input goes through one check, ``lp_core._as_int``: a
+non-integer value is refused with LpInputError, and an integer-valued
+number or the decimal text of one gives the same result as the int."""
+import pickle
+
+import numpy as np
+import pytest
+
+from lplimits import (
+    FamilySpec,
+    LpInputError,
+    PolicyTable,
+    families,
+    load_lp,
+    planted_instance,
+    run_balance,
+    run_ranking,
+    run_secretary,
+    search_best,
+    triangular_instance,
+)
+from lplimits.online_sim import _block_rng, read_instance
+
+
+def _policy(n):
+    return PolicyTable(n=n, accept_prob=np.ones(3), reachable=np.ones(3, bool))
+
+
+# name -> (call on the integer input, an accepted value of it)
+EDGES = {
+    **{f"build_{k}": (getattr(families, f"build_{k}"), 3)
+       for k in families.FAMILY_KINDS},
+    **{f"tight_{what}_{k}": (getattr(families, f"tight_{what}_{k}"), 3)
+       for what in ("value", "solution") for k in ("toy", "balance", "ranking")},
+    "best_threshold": (families.best_threshold, 3),
+    "threshold_policy_value.n": (lambda v: families.threshold_policy_value(v, 1), 3),
+    "threshold_policy_value.k": (lambda v: families.threshold_policy_value(10, v), 3),
+    "run_ranking.trials": (
+        lambda v: run_ranking(triangular_instance(6), trials=v, seed=1), 3),
+    "run_ranking.seed": (
+        lambda v: run_ranking(triangular_instance(6), trials=500, seed=v), 3),
+    "run_secretary.trials": (lambda v: run_secretary(_policy(3), trials=v, seed=1), 3),
+    "run_secretary.seed": (lambda v: run_secretary(_policy(3), trials=500, seed=v), 3),
+    "run_balance.n_slabs": (
+        lambda v: run_balance(triangular_instance(6, 6), n_slabs=v).stats, 3),
+    "PolicyTable.n": (lambda v: run_secretary(_policy(v), trials=500, seed=1), 3),
+    "planted_instance.seed": (lambda v: planted_instance(5, 1, seed=v), 3),
+    "triangular_instance.n": (triangular_instance, 3),
+    "_block_rng.seed": (lambda v: _block_rng(v, 0).random(4), 3),
+    "search_best.K": (lambda v: search_best(v, 1e-2, 1e-2), 2),
+}
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_integer_edge_refuses_a_fraction(edge):
+    call, good = EDGES[edge]
+    with pytest.raises(LpInputError, match="integer"):
+        call(good + 0.5)
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_integer_edge_reads_integer_values_alike(edge):
+    call, good = EDGES[edge]
+    # pickled bytes: equal values of equal types, array bytes included
+    want = pickle.dumps(call(good))
+    for value in (float(good), np.int64(good), str(good)):
+        assert pickle.dumps(call(value)) == want, repr(value)
+
+
+@pytest.mark.parametrize("text", ["2.5", "3.0", ""])
+def test_family_spec_parse_refuses_non_integer_text(text):
+    with pytest.raises(LpInputError, match="integer"):
+        FamilySpec.parse(f"toy:{text}")
+
+
+def test_family_spec_parse_reads_the_size_as_text():
+    assert FamilySpec.parse("toy:3") == FamilySpec("toy", "3") == FamilySpec("toy", 3)
+
+
+@pytest.mark.parametrize("header", ["minimize 2.5 0", "minimize 1 0.0"])
+def test_load_lp_refuses_a_non_integer_header(tmp_path, header):
+    path = tmp_path / "lp.txt"
+    path.write_text(f"{header}\n1.0\n0.0\n1.0\n")
+    with pytest.raises(LpInputError, match="integer"):
+        load_lp(path)
+
+
+@pytest.mark.parametrize("text", ["3.0 1 1\n1\n", "3 1 1\n1.5\n"])
+def test_read_instance_refuses_non_integer_fields(tmp_path, text):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    with pytest.raises(LpInputError, match="integer"):
+        read_instance(path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -370,3 +371,18 @@ def test_multiplier_constant_candidate_has_zero_multipliers():
 def test_eval_profile_rejects_unknown_tag():
     with pytest.raises(LpInputError, match="unknown profile tag"):
         eval_profile("Nope", 0.5)
+
+
+@pytest.mark.parametrize("kind", ["balance", "ranking"])
+def test_ode_builds_in_three_arrays(kind):
+    # ts, the values and one decay array: no fourth (n + 1)-float temporary
+    n = 10**6
+    integrate_tight_ode(kind, 1e-2)   # first-call allocations are not the ODE's
+    tracemalloc.start()
+    try:
+        traj = integrate_tight_ode(kind, 1.0 / n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.values.shape == (n + 1,)
+    assert peak <= 3.1 * 8 * (n + 1)

@@ -9,6 +9,10 @@ recovered from a feasible LP solution or given directly.
 Monte Carlo runs consume randomness in fixed blocks of trials; block i draws
 from a counter-based Philox stream keyed by (seed, i), so estimates are
 bit-reproducible and invariant to how blocks are sharded across workers.
+A run refills its block-sized arrays from block to block, and RANKING frees
+its draws only right before drawing the next block's: a block array freed
+earlier left a hole in the heap that small allocations could split, so the
+peak resident size of identical runs differed by a block array.
 """
 from __future__ import annotations
 
@@ -215,17 +219,19 @@ def run_ranking(instance: SimInstance, trials: int,
     # a neighbor set of consecutive vertices is read as a slice, not gathered
     rows = [slice(nb[0] - 1, nb[-1]) if nb[-1] - nb[0] < len(nb)
             else np.array(nb) - 1 for nb in instance.arrivals if nb]
+    keys = np.empty((n + 1, min(trials, TRIAL_BLOCK)), dtype=np.uint64)
     total = 0.0
     total_sq = 0.0
     for block, bsz in _blocks(trials):
-        u = _block_rng(seed, block).random((bsz, n))
-        live = np.empty((n + 1, bsz), dtype=np.uint64)
+        rng = _block_rng(seed, block)
+        u = None    # frees the last block's draws just before these take their memory
+        u = rng.random((bsz, n))
+        live = keys[:, :bsz]
         if top == 53:
             np.multiply(u.T, 2.0**53, out=live[:n], casting="unsafe")
         else:
             np.put_along_axis(live[:n].T, np.argsort(u, axis=1, kind="stable"),
                               vertex.T, axis=1)
-        del u   # kept into the next block, it fragments the heap: +1 array RSS
         live[:n] <<= s
         live[:n] |= vertex
         size = np.zeros(bsz, dtype=np.int64)
@@ -289,13 +295,20 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
         raise LpInputError("trials must be >= 1")
     n = policy.n
     p = policy.accept_prob
+    shape = (min(trials, TRIAL_BLOCK), n)
+    floats = [np.empty(shape) for _ in range(3)]
+    flags = [np.empty(shape, dtype=bool) for _ in range(2)]
     total = 0.0
     for block, bsz in _blocks(trials):
         rng = _block_rng(seed, block)
-        quality = rng.random((bsz, n))
-        coins = rng.random((bsz, n))
-        best_so_far = quality == np.maximum.accumulate(quality, axis=1)
-        accept = best_so_far & (coins < p[None, :])
+        quality, coins, record = (a[:bsz] for a in floats)
+        best_so_far, accept = (a[:bsz] for a in flags)
+        rng.random(out=quality)
+        rng.random(out=coins)
+        np.maximum.accumulate(quality, axis=1, out=record)
+        np.equal(quality, record, out=best_so_far)
+        np.less(coins, p[None, :], out=accept)
+        accept &= best_so_far
         first = np.argmax(accept, axis=1)
         stopped = accept.any(axis=1)
         success = stopped & (first == np.argmax(quality, axis=1))

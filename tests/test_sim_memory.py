@@ -1,0 +1,45 @@
+"""Block-sized arrays of the Monte Carlo simulators: how many are live at once.
+
+A block array is TRIAL_BLOCK trials times n floats.  Runs of 3 blocks and a
+few trials more cover full blocks, a short last block and block-to-block reuse.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lplimits import (PolicyTable, planted_instance, run_ranking, run_secretary,
+                      triangular_instance)
+from lplimits.online_sim import TRIAL_BLOCK
+
+TRIALS = 3 * TRIAL_BLOCK + 5
+
+
+def _peak_blocks(run, n):
+    run(1)   # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run(TRIALS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * TRIAL_BLOCK)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("make", [lambda n: triangular_instance(n, 1),
+                                  lambda n: planted_instance(n, 1, 3, seed=n)],
+                         ids=["triangular", "planted"])
+def test_ranking_holds_two_block_arrays(make, n):
+    # the keys array serves every block, and a block's draws are freed before
+    # the next block's are drawn: never a third block array
+    inst = make(n)
+    assert _peak_blocks(lambda t: run_ranking(inst, t, seed=0), n) <= 2.2
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_secretary_holds_one_set_of_block_arrays(n):
+    # quality, coins, their running maximum and two flag arrays (3.25 block
+    # arrays) serve every block; no block's arrays overlap the next block's
+    policy = PolicyTable(n=n, accept_prob=np.full(n, 0.5), reachable=np.ones(n, bool))
+    assert _peak_blocks(lambda t: run_secretary(policy, t, seed=0), n) <= 3.3

@@ -1,9 +1,12 @@
 """Command-line interface: solves, sweeps, continuum checks, simulations.
 
-Exit code 0 on success and 1 when a solve or check fails; any error, a
-malformed flag included, prints a machine-readable JSON object on stderr and
-exits 2.  The default Monte Carlo seed can be overridden with the
-LPLIMITS_SEED environment variable.
+Each command takes only the flags it uses: ``vc-check`` discretizes the
+g-profile of its ``--family`` kind, and each ``simulate`` algorithm has its
+own sub-parser, so a flag of another algorithm is an error.  Exit code 0 on
+success and 1 when a solve or check fails; any error, a malformed flag
+included, prints a machine-readable JSON object on stderr and exits 2.  The
+default Monte Carlo seed can be overridden with the LPLIMITS_SEED
+environment variable.
 """
 from __future__ import annotations
 
@@ -103,8 +106,9 @@ def _cmd_ode(args) -> int:
 
 def _cmd_vc_check(args) -> int:
     spec = families.FamilySpec.parse(args.family)
-    _, gap = variational.discretize_profile(variational.PROFILES[args.profile], spec)
-    print(f"{args.profile} -> {spec.kind}:{spec.size}")
+    profile = next(p for p in variational.PROFILES.values() if p.family == spec.kind)
+    _, gap = variational.discretize_profile(profile, spec)
+    print(f"{profile.tag} -> {spec.kind}:{spec.size}")
     print(f"max constraint violation: {gap.max_violation:.3e} (bound 2/n = {2.0 / spec.size:.3e})")
     print(f"objective: lp {gap.lp_objective:.8f} vs continuum "
           f"{gap.continuum_objective:.8f} (gap {gap.objective_gap:.3e})")
@@ -141,14 +145,12 @@ def _cmd_interval_search(args) -> int:
 
 
 def _load_sim_instance(args) -> online_sim.SimInstance:
-    if args.instance:
+    if args.planted is None:
         return online_sim.read_instance(args.instance)
-    if args.planted:
-        parts = [_as_int(v, "--planted") for v in args.planted.split(",")]
-        if len(parts) > 2:
-            raise LpInputError(f"--planted takes n or n,b, got {args.planted!r}")
-        return online_sim.triangular_instance(*parts)
-    raise LpInputError("need --instance FILE or --planted n,b")
+    parts = [_as_int(v, "--planted") for v in args.planted.split(",")]
+    if len(parts) > 2:
+        raise LpInputError(f"--planted takes n or n,b, got {args.planted!r}")
+    return online_sim.triangular_instance(*parts)
 
 
 def _cmd_simulate(args) -> int:
@@ -165,8 +167,6 @@ def _cmd_simulate(args) -> int:
         report = online_sim.run_ranking(inst, trials=args.trials, seed=seed)
         audit = None
     else:
-        if not args.policy_from_lp:
-            raise LpInputError("secretary simulation needs --policy-from-lp n")
         n = _as_int(args.policy_from_lp, "--policy-from-lp")
         sol = solve(families.build_secretary(n))
         if sol.status != "optimal":
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ode)
 
     p = sub.add_parser("vc-check", help="discretization gap of a profile")
-    p.add_argument("--profile", required=True, choices=variational.PROFILES)
     p.add_argument("--family", required=True, metavar="KIND:N")
     p.set_defaults(fn=_cmd_vc_check)
 
@@ -224,18 +223,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_interval_search)
 
     p = sub.add_parser("simulate", help="run an online algorithm")
-    p.add_argument("algorithm", choices=("balance", "ranking", "secretary"))
-    p.add_argument("--instance", default=None, metavar="FILE")
-    p.add_argument("--planted", default=None, metavar="N,B",
-                   help="builds triangular_instance(N, B), whose optimum "
-                        "is a planted perfect B-matching; B defaults to 1")
-    p.add_argument("--policy-from-lp", default=None, metavar="N")
-    p.add_argument("--trials", type=int, default=online_sim.DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"defaults to ${SEED_ENV_VAR} or {DEFAULT_SEED}")
-    p.add_argument("--slabs", type=int, default=20)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_simulate)
+    algorithms = p.add_subparsers(dest="algorithm", required=True)
+    shared, source, trials = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    shared.add_argument("--seed", type=int, default=None,
+                        help=f"defaults to ${SEED_ENV_VAR} or {DEFAULT_SEED}")
+    shared.add_argument("--json", action="store_true")
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--instance", default=None, metavar="FILE")
+    group.add_argument("--planted", default=None, metavar="N,B",
+                       help="builds triangular_instance(N, B), whose optimum "
+                            "is a planted perfect B-matching; B defaults to 1")
+    trials.add_argument("--trials", type=int, default=online_sim.DEFAULT_TRIALS)
+    p = algorithms.add_parser("balance", parents=[source, shared])
+    p.add_argument("--slabs", type=int, default=20)
+    algorithms.add_parser("ranking", parents=[source, trials, shared])
+    p = algorithms.add_parser("secretary", parents=[trials, shared])
+    p.add_argument("--policy-from-lp", required=True, metavar="N")
     return ap
 
 

@@ -63,13 +63,8 @@ class SimInstance:
         for nb in map(tuple, self.arrivals):
             clean = cleaned.get(nb)
             if clean is None:
-                try:
-                    ints = tuple(map(int, nb))
-                except (TypeError, ValueError, OverflowError):
-                    ints = None
-                if ints != nb:      # so 1.7 is refused rather than truncated
-                    raise LpInputError(f"non-integer neighbor index in {nb!r}")
-                clean = cleaned[nb] = tuple(sorted(set(ints)))
+                clean = cleaned[nb] = tuple(sorted(
+                    {_as_int(v, "neighbor index") for v in nb}))
                 if clean and (clean[0] < 1 or clean[-1] > n):
                     raise LpInputError("neighbor index outside [1, n_offline]")
             arrivals.append(clean)

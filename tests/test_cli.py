@@ -117,8 +117,7 @@ def test_ode_step_below_floor_is_json_error(capsys, monkeypatch):
 
 
 def test_vc_check(capsys):
-    code, out, _ = run_cli(capsys, "vc-check", "--profile", "RankingG",
-                           "--family", "ranking:400")
+    code, out, _ = run_cli(capsys, "vc-check", "--family", "ranking:400")
     assert code == 0
     assert "max constraint violation" in out
 
@@ -204,15 +203,16 @@ def test_bad_seed_env_is_json_error(capsys, monkeypatch):
 
 # BALANCE is deterministic, yet its report echoes the seed, so the range is
 # checked for every algorithm
-SIMULATIONS = [("ranking", "--planted", "5,1"), ("balance", "--planted", "5,5"),
-               ("secretary", "--policy-from-lp", "5")]
+SIMULATIONS = [("ranking", "--planted", "5,1", "--trials", "100"),
+               ("balance", "--planted", "5,5"),
+               ("secretary", "--policy-from-lp", "5", "--trials", "100")]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_seed_out_of_range_is_json_error(capsys, seed):
     for args in SIMULATIONS:
-        code, out, err = run_cli(capsys, "simulate", *args, "--trials", "100",
-                                 "--seed", seed, "--json")
+        code, out, err = run_cli(capsys, "simulate", *args, "--seed", seed,
+                                 "--json")
         assert code == 2 and out == ""
         payload = strict_json(err)
         assert payload["type"] == "LpInputError"
@@ -222,8 +222,7 @@ def test_seed_out_of_range_is_json_error(capsys, seed):
 def test_seed_env_out_of_range_is_json_error(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "-4")
     for args in SIMULATIONS:
-        code, out, err = run_cli(capsys, "simulate", *args, "--trials", "100",
-                                 "--json")
+        code, out, err = run_cli(capsys, "simulate", *args, "--json")
         assert code == 2 and out == ""
         payload = strict_json(err)
         assert payload["type"] == "LpInputError"
@@ -275,8 +274,9 @@ def test_malformed_integer_flag_is_json_error(capsys, args):
 
 @pytest.mark.parametrize("algorithm", ["ranking", "balance"])
 def test_simulate_planted_extra_field_is_json_error(capsys, algorithm):
+    trials = ("--trials", "100") if algorithm == "ranking" else ()
     code, out, err = run_cli(capsys, "simulate", algorithm, "--planted", "5,1,9",
-                             "--trials", "100", "--json")
+                             *trials, "--json")
     assert code == 2 and out == ""
     payload = strict_json(err)
     assert payload["type"] == "LpInputError"
@@ -380,3 +380,119 @@ def test_readme_command_lines_parse():
         argv = shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("kind, tag", [("toy", "ToyG"), ("balance", "BalanceG"),
+                                       ("ranking", "RankingG"),
+                                       ("secretary", "SecretaryG")])
+def test_vc_check_takes_the_g_profile_of_the_family(capsys, kind, tag):
+    code, out, _ = run_cli(capsys, "vc-check", "--family", f"{kind}:8")
+    assert code == 0
+    assert out.splitlines()[0] == f"{tag} -> {kind}:8"
+
+
+# the flags of each simulate algorithm besides the shared --seed and --json,
+# a value for each, and one valid invocation of each algorithm
+SIM_FLAGS = {"balance": {"--instance", "--planted", "--slabs"},
+             "ranking": {"--instance", "--planted", "--trials"},
+             "secretary": {"--policy-from-lp", "--trials"}}
+FLAG_VALUES = {"--instance": "INSTANCE", "--planted": "5,1", "--slabs": "2",
+               "--trials": "100", "--policy-from-lp": "5"}
+SIM_VALID = {"balance": ("--planted", "5,5"),
+             "ranking": ("--planted", "5,1", "--trials", "100"),
+             "secretary": ("--policy-from-lp", "5", "--trials", "100")}
+# (argv after "simulate", a phrase the error names)
+SIM_REFUSED = [
+    *[pytest.param((algorithm, *SIM_VALID[algorithm], flag, FLAG_VALUES[flag]),
+                   f"unrecognized arguments: {flag}", id=f"{algorithm}-foreign{flag}")
+      for algorithm, own in SIM_FLAGS.items()
+      for flag in sorted(FLAG_VALUES.keys() - own)],
+    *[pytest.param((algorithm, "--instance", "INSTANCE", *SIM_VALID[algorithm]),
+                   "--planted: not allowed with argument --instance",
+                   id=f"{algorithm}-both-sources")
+      for algorithm in ("balance", "ranking")],
+    pytest.param(("balance",), "--instance --planted is required",
+                 id="balance-no-source"),
+    pytest.param(("ranking", "--trials", "100"), "--instance --planted is required",
+                 id="ranking-no-source"),
+    pytest.param(("secretary", "--trials", "100"),
+                 "arguments are required: --policy-from-lp", id="secretary-no-policy"),
+]
+
+
+@pytest.mark.parametrize("args, phrase", SIM_REFUSED)
+def test_simulate_flag_refused_is_json_error(capsys, tmp_path, args, phrase):
+    from lplimits import triangular_instance
+    from lplimits.online_sim import write_instance
+
+    path = tmp_path / "inst.txt"
+    write_instance(triangular_instance(5, 1), path)
+    argv = [str(path) if a == "INSTANCE" else a for a in args]
+    code, out, err = run_cli(capsys, "simulate", *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = strict_json(err)
+    assert set(payload) == {"error", "type"}
+    assert payload["type"] == "LpInputError"
+    assert phrase in payload["error"]
+
+
+@pytest.mark.parametrize("algorithm", SIM_FLAGS)
+def test_simulate_help_lists_only_its_flags(capsys, algorithm):
+    import re
+
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", algorithm, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", out))
+    assert flags == SIM_FLAGS[algorithm] | {"--help", "--seed", "--json"}
+
+
+def _advertised_choices():
+    """Every choices value that build_parser() offers below a command,
+    each simulate algorithm included, with one tiny invocation of it."""
+    import argparse
+
+    from lplimits.cli import build_parser
+
+    rest = {"sweep": ("--sizes", "4,8,16", "--extrapolate"),
+            "ode": ("--step", "0.01"),
+            "interval-search": ("--resolution", "0.01"),
+            **{f"simulate {a}": (*SIM_VALID[a], "--seed", "1") for a in SIM_VALID}}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name in action.choices:
+                    yield (command, name, *rest[f"{command} {name}"])
+            elif action.choices is not None:
+                for value in action.choices:
+                    yield (command, *action.option_strings[:1], str(value),
+                           *rest[command])
+
+
+ADVERTISED = list(_advertised_choices())
+
+
+@pytest.mark.parametrize("args", ADVERTISED, ids=[" ".join(a) for a in ADVERTISED])
+def test_every_advertised_choice_runs(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    assert out and err == ""
+
+
+def test_module_help_runs_as_a_script():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lplimits
+
+    env = {**os.environ, "PYTHONPATH": str(Path(lplimits.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "lplimits.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: lplimits") and proc.stderr == ""

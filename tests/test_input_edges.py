@@ -10,6 +10,7 @@ from lplimits import (
     FamilySpec,
     LpInputError,
     PolicyTable,
+    SimInstance,
     families,
     load_lp,
     planted_instance,
@@ -46,6 +47,7 @@ EDGES = {
     "PolicyTable.n": (lambda v: run_secretary(_policy(v), trials=500, seed=1), 3),
     "planted_instance.seed": (lambda v: planted_instance(5, 1, seed=v), 3),
     "triangular_instance.n": (triangular_instance, 3),
+    "SimInstance.arrivals": (lambda v: SimInstance(3, 1, ((v,),)), 3),
     "_block_rng.seed": (lambda v: _block_rng(v, 0).random(4), 3),
     "search_best.K": (lambda v: search_best(v, 1e-2, 1e-2), 2),
 }

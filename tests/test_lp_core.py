@@ -157,6 +157,19 @@ def test_rejects_bad_inputs():
         box_lp("max", [1.0], [[1.0]], [LE], [1.0])
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("rows", np.ones((1, 3)), r"rows must be \(m, 2\)"),
+    ("rhs", np.ones(2), "relations/rhs length"),
+    ("relations", ("<",), "unknown relation"),
+    ("var_upper", np.ones(3), "bound vectors"),
+    ("family_tag", "nope", "unknown family_tag"),
+])
+def test_dense_lp_rejects_malformed(field, value, match):
+    lp = box_lp(MINIMIZE, [1.0, 1.0], [[1.0, 1.0]], [GE], [1.0])
+    with pytest.raises(LpInputError, match=match):
+        DenseLp(**{**vars(lp), field: value})
+
+
 def test_deterministic_resolve_bit_identical():
     lp = build_ranking(40)
     a, b = solve(lp), solve(lp)

@@ -265,6 +265,17 @@ def test_ranking_requires_unit_capacity():
         run_ranking(SimInstance(2, 2, ((1,),)), trials=10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_balance(triangular_instance(3, 3), n_slabs=0),
+    lambda: run_ranking(triangular_instance(3), trials=0),
+    lambda: run_secretary(PolicyTable(n=3, accept_prob=np.ones(3),
+                                      reachable=np.ones(3, bool)), trials=0),
+], ids=["run_balance.n_slabs", "run_ranking.trials", "run_secretary.trials"])
+def test_count_below_one_is_rejected(call):
+    with pytest.raises(LpInputError, match="must be >= 1"):
+        call()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2^128"])
 def test_seed_outside_philox_key_range_is_rejected(seed):
     policy = PolicyTable(n=3, accept_prob=np.ones(3), reachable=np.ones(3, bool))
@@ -622,10 +633,11 @@ def test_instance_file_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("text", ["x 3 1\n", "2 1 1\n1 y\n", "2 -1 1\n",
                                   "3 1 1\n1\n2\n3\n", "3 1 1\n1\n\n",
-                                  "3 2 1\n1\n"],
+                                  "3 2 1\n1\n", "3 1\n1\n"],
                          ids=["non-numeric header", "non-numeric arrival",
                               "negative n_online", "extra arrival lines",
-                              "extra empty arrival line", "missing arrival line"])
+                              "extra empty arrival line", "missing arrival line",
+                              "two-field header"])
 def test_read_instance_rejects_malformed(tmp_path, text):
     path = tmp_path / "inst.txt"
     path.write_text(text)
@@ -681,7 +693,7 @@ def test_policy_table_needs_a_position():
 @pytest.mark.parametrize("arrivals", [(("a",),), ((1.7,),), ((1, math.nan),),
                                       ((math.inf,),)])
 def test_instance_rejects_non_integer_neighbors(arrivals):
-    with pytest.raises(LpInputError, match="non-integer"):
+    with pytest.raises(LpInputError, match="neighbor index must be an integer, got "):
         SimInstance(3, 1, arrivals)
 
 

@@ -63,6 +63,13 @@ def test_sweep_aborts_on_non_optimal(monkeypatch):
     assert err.value.status == "iteration_limit"
 
 
+def test_sweep_aborts_on_oracle_mismatch(monkeypatch):
+    monkeypatch.setitem(studies._ORACLES, "toy", lambda n: 0.0)
+    with pytest.raises(SweepError) as err:
+        sweep_family("toy", [4])
+    assert (err.value.size, err.value.status) == (4, "oracle_mismatch")
+
+
 def test_limit_estimate_constant_table():
     table = SweepTable(family="toy", rows=[
         SweepRow(n, 0.5, "optimal", 1.0) for n in (10, 20, 40, 80)

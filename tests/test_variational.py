@@ -282,6 +282,11 @@ def test_discretize_rejects_mismatch():
         discretize_profile(RANKING_U, FamilySpec("ranking", 10))
 
 
+def test_discretize_rejects_a_non_callable_profile():
+    with pytest.raises(LpInputError, match="ContinuumProfile or callable"):
+        discretize_profile(0.5, FamilySpec("toy", 10))
+
+
 def _u_star_grid(points=10_000):
     t = np.arange(1, points + 1) / points
     return t, SECRETARY_U(t)
@@ -343,6 +348,32 @@ def test_multiplier_check_rejects_bad_tol(tol):
     t, u = _u_star_grid(100)
     with pytest.raises(LpInputError, match="tol"):
         multiplier_check(t, u, tol=tol)
+
+
+@pytest.mark.parametrize("t, u", [
+    (np.array([0.5, 1.0]), np.zeros(2)),            # fewer than 3 points
+    (np.linspace(0.1, 1.0, 5), np.zeros(4)),        # lengths differ
+    (np.full((3, 3), 0.5), np.zeros((3, 3))),       # not 1-d
+])
+def test_multiplier_check_rejects_misshapen_input(t, u):
+    with pytest.raises(LpInputError, match="equal-length 1-d"):
+        multiplier_check(t, u)
+
+
+def test_multiplier_short_activity_runs():
+    # a one-point active run at index 3 and a two-point one at 6..7; dyadic
+    # grid and values, so every slope below is exact
+    t = np.arange(1, 11) / 16
+    u = np.array([0, 0, 0, 1, 1, 1, 3, 5, 5, 5]) / 16
+    prof, rep = multiplier_check(t, u)
+    assert np.flatnonzero(rep.active).tolist() == [3, 6, 7]
+    # singleton: the slope from its left neighbour, (1/16) / (1/16); the
+    # centred difference across it would give 0.5
+    assert prof.w_sq[3] == 1.0
+    # two-point run: the secant (5/16 - 3/16) / (1/16) at both ends
+    assert prof.w_sq[6] == prof.w_sq[7] == 2.0
+    # the two-point inactive runs 4..5 and 8..9 take their flat secant
+    assert prof.w_sq[[4, 5, 8, 9]].tolist() == [0.0] * 4
 
 
 def test_multiplier_carry_across_runs():

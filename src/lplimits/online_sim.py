@@ -12,7 +12,9 @@ bit-reproducible and invariant to how blocks are sharded across workers.
 A run refills its block-sized arrays from block to block, and RANKING frees
 its draws only right before drawing the next block's: a block array freed
 earlier left a hole in the heap that small allocations could split, so the
-peak resident size of identical runs differed by a block array.
+peak resident size of identical runs differed by a block array.  The
+secretary simulator draws its acceptance coins only for a fractional policy,
+one with some 0 < p < 1; every other policy decides without them.
 """
 from __future__ import annotations
 
@@ -274,6 +276,9 @@ def secretary_policy_from_lp(x) -> PolicyTable:
     p = np.where(reachable, x * i / np.where(reachable, denom, 1.0), 0.0)
     # feasibility bounds p by 1; clamp the tolerance spill
     p = np.clip(p, 0.0, 1.0)
+    # an optimum is a threshold rule; its rounding must not make p fractional
+    p[p < 1e-12] = 0.0
+    p[p > 1.0 - 1e-12] = 1.0
     return PolicyTable(n=n, accept_prob=p, reachable=reachable)
 
 
@@ -284,26 +289,36 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
     Per trial: draw a uniform arrival order, walk the positions, and at each
     reachable best-so-far position accept with the policy's probability;
     success means the accepted candidate is the global best.
+
+    A block draws its quality array and then, only for a fractional policy
+    (some 0 < p < 1), a coin per position, accepting where coin < p.  A coin
+    lies in [0, 1), so with every p in {0, 1} the acceptance is p == 1 and the
+    coins, drawn last from the block's own stream, are skipped exactly.
     """
     trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise LpInputError("trials must be >= 1")
     n = policy.n
     p = policy.accept_prob
+    fractional = bool(np.any((p > 0.0) & (p < 1.0)))
+    certain = p == 1.0
     shape = (min(trials, TRIAL_BLOCK), n)
-    floats = [np.empty(shape) for _ in range(3)]
+    floats = [np.empty(shape) for _ in range(2 + fractional)]
     flags = [np.empty(shape, dtype=bool) for _ in range(2)]
     total = 0.0
     for block, bsz in _blocks(trials):
         rng = _block_rng(seed, block)
-        quality, coins, record = (a[:bsz] for a in floats)
+        quality, record, *coins = (a[:bsz] for a in floats)
         best_so_far, accept = (a[:bsz] for a in flags)
         rng.random(out=quality)
-        rng.random(out=coins)
         np.maximum.accumulate(quality, axis=1, out=record)
         np.equal(quality, record, out=best_so_far)
-        np.less(coins, p[None, :], out=accept)
-        accept &= best_so_far
+        if fractional:
+            rng.random(out=coins[0])
+            np.less(coins[0], p[None, :], out=accept)
+            accept &= best_so_far
+        else:
+            np.logical_and(best_so_far, certain[None, :], out=accept)
         first = np.argmax(accept, axis=1)
         stopped = accept.any(axis=1)
         success = stopped & (first == np.argmax(quality, axis=1))

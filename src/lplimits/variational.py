@@ -233,16 +233,15 @@ def _segment_derivative(t: np.ndarray, y: np.ndarray, runs) -> np.ndarray:
     """Finite differences that never straddle a run boundary.
 
     Centered in run interiors, second-order one-sided at run endpoints
-    (first-order for two-point runs, adjacent slope for singletons).
+    (first-order for two-point runs, left slope for singletons).  A run
+    starting at index 0 has at least two points: multiplier_check gives
+    indices 0 and 1 the same activity.
     """
     dy = np.empty_like(y)
     for a, b in runs:  # run covers indices a..b inclusive
         ln = b - a + 1
         if ln == 1:
-            if a > 0:
-                dy[a] = (y[a] - y[a - 1]) / (t[a] - t[a - 1])
-            else:
-                dy[a] = (y[a + 1] - y[a]) / (t[a + 1] - t[a])
+            dy[a] = (y[a] - y[a - 1]) / (t[a] - t[a - 1])
             continue
         if ln == 2:
             s = (y[b] - y[a]) / (t[b] - t[a])

@@ -539,6 +539,76 @@ def test_secretary_estimate_brackets_policy_value(seed):
     assert abs(rep.estimate - policy_value(pol)) <= 4 * rep.std_error
 
 
+def test_fractional_secretary_stream_pinned():
+    # a fractional policy draws its coins after the quality array, as before
+    half = PolicyTable(n=20, accept_prob=np.full(20, 0.5),
+                       reachable=np.ones(20, dtype=bool))
+    rep = run_secretary(half, 10_000, seed=6)
+    assert (rep.estimate, rep.std_error) == (0.1243, 0.003299399885427712)
+
+
+def _secretary_reference(policy, trials, seed):
+    """The coin-drawing run_secretary loop: per block, a quality and then a
+    coin per position; a best-so-far position accepts where coin < p."""
+    p = policy.accept_prob
+    total = 0.0
+    for block, bsz in _blocks(trials):
+        rng = online_sim._block_rng(seed, block)
+        quality = rng.random((bsz, policy.n))
+        coins = rng.random((bsz, policy.n))
+        best_so_far = quality == np.maximum.accumulate(quality, axis=1)
+        accept = (coins < p[None, :]) & best_so_far
+        first = np.argmax(accept, axis=1)
+        success = accept.any(axis=1) & (first == np.argmax(quality, axis=1))
+        total += float(success.sum())
+    return online_sim._report(total, total, trials, seed)
+
+
+def _policy(p):
+    p = np.asarray(p, dtype=float)
+    return PolicyTable(n=p.size, accept_prob=p, reachable=np.ones(p.size, bool))
+
+
+_ZERO_ONE = np.random.default_rng(77).integers(0, 2, size=(3, 30)).astype(float)
+
+
+@pytest.mark.parametrize("trials", [1, 4096, 3 * 4096 + 5])
+@pytest.mark.parametrize("p", [
+    *_ZERO_ONE, np.zeros(12), np.ones(12), [0.0], [1.0],
+    np.r_[np.zeros(10), np.ones(20)],
+    np.full(9, 0.5), np.r_[np.zeros(5), np.full(5, 1 - 1e-13)], [0.3],
+], ids=["random0", "random1", "random2", "all-zero", "all-one", "n1-zero",
+        "n1-one", "threshold", "half", "near-one", "n1-fractional"])
+def test_secretary_matches_coin_drawing_reference(p, trials):
+    policy = _policy(p)
+    for seed in (0, 5):
+        got = run_secretary(policy, trials, seed=seed)
+        want = _secretary_reference(policy, trials, seed)
+        assert (got.trials, got.seed) == (want.trials, want.seed)
+        assert got.estimate.hex() == want.estimate.hex()
+        assert got.std_error.hex() == want.std_error.hex()
+
+
+def test_policy_from_lp_optima_are_zero_one():
+    for n in range(1, 201):
+        p = secretary_policy_from_lp(solve(build_secretary(n)).x).accept_prob
+        assert np.all((p == 0.0) | (p == 1.0)), n
+
+
+@pytest.mark.parametrize("x, p", [
+    ([1 - 1e-13], 1.0), ([1e-13], 0.0), ([0.5], 0.5),
+    ([1 - 1e-11], 1 - 1e-11), ([1e-11], 1e-11),
+    ([0.0, 0.5 - 5e-14], 1.0),     # p_2 = 2 x_2 = 1 - 1e-13
+], ids=["1-1e-13", "1e-13", "half", "1-1e-11", "1e-11", "second-position"])
+def test_policy_from_lp_snaps_only_rounding(x, p):
+    assert secretary_policy_from_lp(x).accept_prob[-1] == p
+
+
+def test_given_policy_is_not_snapped():
+    p = [1e-13, 1 - 1e-13]
+    assert _policy(p).accept_prob.tolist() == p
+
+
 def test_slab_stats_invariants():
     inst = triangular_instance(12, 6)
     run = run_balance(inst, n_slabs=3)

@@ -43,3 +43,13 @@ def test_secretary_holds_one_set_of_block_arrays(n):
     # arrays) serve every block; no block's arrays overlap the next block's
     policy = PolicyTable(n=n, accept_prob=np.full(n, 0.5), reachable=np.ones(n, bool))
     assert _peak_blocks(lambda t: run_secretary(policy, t, seed=0), n) <= 3.3
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_secretary_threshold_policy_draws_no_coins(n):
+    # every p in {0, 1}: quality, its running maximum and two flag arrays
+    # (2.25 block arrays); no coin array
+    k = round(n / np.e)
+    policy = PolicyTable(n=n, accept_prob=np.r_[np.zeros(k), np.ones(n - k)],
+                         reachable=np.ones(n, bool))
+    assert _peak_blocks(lambda t: run_secretary(policy, t, seed=0), n) <= 2.3

@@ -27,8 +27,10 @@ LIMIT_TARGETS = {
 
 # Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
-# (numpy 2.4, OpenBLAS): toy 33 s (4094 pivots, 636 MB peak RSS), balance
-# 15 s, ranking 18 s, secretary 19 s.
+# (numpy 2.4, OpenBLAS), one solve per process, two runs each: toy 58-60 s
+# (4094 pivots, 587 MB peak RSS), balance 27-35 s (2047 pivots), ranking
+# 31-32 s (2048 pivots), secretary 22.6 s (1295 pivots; 39.7 s and 2801
+# pivots under Bland's entering rule alone).
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
 

@@ -3,9 +3,11 @@
 The solver is a primal simplex on the bounded-variable standard form: every
 structural variable carries finite lower/upper bounds, nonbasic variables sit
 at one of their bounds, and a ratio test allows bound flips in addition to
-basis exchanges.  Entering and leaving variables are chosen by Bland's rule
-(lowest index), which makes every solve deterministic and cycle-free on the
-highly degenerate instances this package produces.
+basis exchanges.  The entering variable has the most negative reduced cost
+(Dantzig's rule), except after a degenerate basis exchange, where it has the
+lowest improving index (Bland's rule); the leaving variable is chosen by
+Bland's rule.  Every solve is deterministic, and none can cycle: a cycle
+consists only of degenerate steps, so each of its steps would be a Bland step.
 
 The working tableau is a single dense m x N array updated in place.  A basis
 exchange touches only the rows where the pivot column is nonzero and the
@@ -320,7 +322,14 @@ class _Tableau:
         return d
 
     def run(self, c: np.ndarray, max_iterations: int) -> str:
-        """Bland-rule primal simplex until optimal for objective c.
+        """Primal simplex until optimal for objective c.
+
+        The entering column has the most negative ``dirn * d`` (Dantzig),
+        ties to the lowest index; after a degenerate basis exchange (a step
+        of at most 1e-12) it is the lowest improving index instead (Bland).
+        Each call starts with Dantzig, and a bound flip, whose step is the
+        positive span, returns to it.  Leaving-row ties go to the lowest
+        basic index.
 
         Variables whose bounds coincide (fixed structurals, and artificials
         pinned after phase 1) get ``dirn`` 0 on entry and never enter.  A
@@ -338,9 +347,12 @@ class _Tableau:
         d = self.reduced_costs(c)
         span = hi - lo
         dirn[span == 0.0] = 0.0
+        degenerate = False  # was the last step a degenerate basis exchange?
         while True:
-            cand = dirn * d < -REDCOST_TOL
-            q = int(np.argmax(cand))  # lowest index: Bland's rule
+            score = dirn * d
+            cand = score < -REDCOST_TOL
+            # Bland (lowest index) after a degenerate exchange, else Dantzig
+            q = int(np.argmax(cand)) if degenerate else int(np.argmin(score))
             if not cand[q]:
                 return "optimal"
             if self.iterations >= max_iterations:
@@ -368,7 +380,9 @@ class _Tableau:
                 # bound flip: no basis change, reduced costs unchanged
                 xB += delta * t_own
                 dirn[q] = -direction
+                degenerate = False
                 continue
+            degenerate = t_rows <= 1e-12
             ties = er[limits <= t_rows + 1e-12]
             r = int(ties[np.argmin(basis[ties])])  # Bland: lowest leaving index
 

@@ -590,9 +590,13 @@ def test_secretary_matches_coin_drawing_reference(p, trials):
 
 
 def test_policy_from_lp_optima_are_zero_one():
+    # every n, so an optimal vertex the simplex picks among ties (n = 2
+    # has two) must still be a policy of the optimal value
     for n in range(1, 201):
-        p = secretary_policy_from_lp(solve(build_secretary(n)).x).accept_prob
+        pol = secretary_policy_from_lp(solve(build_secretary(n)).x)
+        p = pol.accept_prob
         assert np.all((p == 0.0) | (p == 1.0)), n
+        assert abs(policy_value(pol) - best_threshold(n)[1]) <= 1e-12, n
 
 
 @pytest.mark.parametrize("x, p", [

@@ -16,6 +16,7 @@ from .lp_core import (
     solve,
 )
 from .families import (
+    FamilyLp,
     FamilySpec,
     best_threshold,
     build_balance,

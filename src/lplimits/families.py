@@ -56,6 +56,65 @@ class FamilySpec:
     def build(self) -> DenseLp:
         return _BUILDERS[self.kind](self.size)
 
+    def operator(self) -> "FamilyLp":
+        """The family LP without its rows; the same size cap as ``build``."""
+        return FamilyLp(**_fields(self.kind, _check_size(self.size)))
+
+
+@dataclass(frozen=True)
+class FamilyLp:
+    """A family LP that keeps every field of its ``DenseLp`` but ``rows``.
+
+    ``matvec`` and ``rmatvec`` give ``rows @ x`` and ``rows.T @ y`` from one
+    or two prefix sums in O(n), so ``check_feasibility`` and ``certify``
+    take it as they take a DenseLp, without an n x n matrix.  s_i is
+    x_1 + ... + x_i and r_j is y_j + ... + y_n.
+    """
+
+    sense: str
+    objective: np.ndarray
+    relations: tuple
+    rhs: np.ndarray
+    var_lower: np.ndarray
+    var_upper: np.ndarray
+    family_tag: str
+
+    @property
+    def n_vars(self) -> int:
+        return self.objective.size
+
+    @property
+    def n_rows(self) -> int:
+        return self.rhs.size
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        n, kind = self.n_vars, self.family_tag
+        s = np.cumsum(x)
+        if kind == "toy":        # x_i + s_{i-1}/n, then x_i - x_{i+1}
+            return np.concatenate([x + (s - x) / n, x[:-1] - x[1:]])
+        if kind == "balance":    # s_p + (p s_p - sum_{i<=p} i x_i)/N
+            index = np.arange(1, n + 1)
+            return s + (index * s - np.cumsum(index * x)) / n
+        if kind == "ranking":    # x_i + s_i/n
+            return x + s / n
+        return np.arange(1, n + 1) * x + (s - x)   # secretary: i x_i + s_{i-1}
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        n, kind = self.n_vars, self.family_tag
+        head = y[:n]
+        r = np.cumsum(head[::-1])[::-1]
+        if kind == "toy":        # y_j + r_{j+1}/n, then +y'_j - y'_{j-1}
+            out = head + (r - head) / n
+            out[:-1] += y[n:]
+            out[1:] -= y[n:]
+            return out
+        if kind == "balance":    # r_i + (sum_{p>=i} p y_p - i r_i)/N
+            index = np.arange(1, n + 1)
+            return r + (np.cumsum((index * y)[::-1])[::-1] - index * r) / n
+        if kind == "ranking":    # y_j + r_j/n
+            return y + r / n
+        return np.arange(1, n + 1) * y + (r - y)   # secretary: j y_j + r_{j+1}
+
 
 def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> int:
     """n as an int within [1, cap]; LpInputError otherwise."""
@@ -67,63 +126,62 @@ def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> int:
     return n
 
 
+def _fields(kind: str, n: int) -> dict:
+    """Every field of the size-n family LP but its rows."""
+    index = np.arange(1, n + 1)
+    if kind == "toy":
+        sense, objective = MINIMIZE, np.full(n, 1.0 / n)
+        relations = (GE,) * (2 * n - 1)
+        rhs = np.concatenate([np.ones(n), np.zeros(n - 1)])
+    elif kind == "balance":
+        sense, objective = MAXIMIZE, 1.0 - index / n
+        relations, rhs = (LE,) * n, index / n
+    elif kind == "ranking":
+        sense, objective = MINIMIZE, np.full(n, 1.0 / n)
+        relations, rhs = (GE,) * n, np.ones(n)
+    else:  # secretary
+        sense, objective = MAXIMIZE, index / n
+        relations, rhs = (LE,) * n, np.ones(n)
+    return dict(sense=sense, objective=objective, relations=relations, rhs=rhs,
+                var_lower=np.zeros(n), var_upper=np.ones(n), family_tag=kind)
+
+
+# Each builder writes its rows into one float array; a boolean mask (one byte
+# per entry) marks the lower triangle, so no second float matrix is made.
+
 def build_toy(n: int) -> DenseLp:
     """minimize (1/n) sum x_i over x in [0,1]^n with
     1 - x_i <= (1/n) sum_{l<i} x_l and x_i >= x_{i+1}."""
     n = _check_size(n)
-    rows = np.tril(np.full((n, n), 1.0 / n), k=-1)
+    rows = np.zeros((2 * n - 1, n))
+    np.copyto(rows[:n], 1.0 / n, where=np.tri(n, k=-1, dtype=bool))
     rows[np.diag_indices(n)] += 1.0  # move x_i to the left-hand side
-    mono = np.zeros((n - 1, n))
     idx = np.arange(n - 1)
-    mono[idx, idx] = 1.0
-    mono[idx, idx + 1] = -1.0
-    return DenseLp(
-        sense=MINIMIZE,
-        objective=np.full(n, 1.0 / n),
-        rows=np.vstack([rows, mono]),
-        relations=(GE,) * n + (GE,) * (n - 1),
-        rhs=np.concatenate([np.ones(n), np.zeros(n - 1)]),
-        var_lower=np.zeros(n),
-        var_upper=np.ones(n),
-        family_tag="toy",
-    )
+    rows[n + idx, idx] = 1.0
+    rows[n + idx, idx + 1] = -1.0
+    return DenseLp(rows=rows, **_fields("toy", n))
 
 
 def build_balance(N: int) -> DenseLp:
     """maximize sum x_i (1 - i/N) over x in [0,1]^N with
     sum_{i<=p} x_i (1 + (p-i)/N) <= p/N for every p."""
     N = _check_size(N)
-    p = np.arange(1, N + 1)[:, None]
-    i = np.arange(1, N + 1)[None, :]
-    rows = np.where(i <= p, 1.0 + (p - i) / N, 0.0)
-    return DenseLp(
-        sense=MAXIMIZE,
-        objective=1.0 - np.arange(1, N + 1) / N,
-        rows=rows,
-        relations=(LE,) * N,
-        rhs=np.arange(1, N + 1) / N,
-        var_lower=np.zeros(N),
-        var_upper=np.ones(N),
-        family_tag="balance",
-    )
+    index = np.arange(1, N + 1, dtype=float)
+    rows = np.subtract.outer(index, index)   # p - i
+    rows /= N
+    rows += 1.0
+    rows *= np.tri(N, dtype=bool)   # +0.0 above: every entry there is positive
+    return DenseLp(rows=rows, **_fields("balance", N))
 
 
 def build_ranking(n: int) -> DenseLp:
     """minimize (1/n) sum x_i over x in [0,1]^n with
     x_i + (1/n) sum_{j<=i} x_j >= 1."""
     n = _check_size(n)
-    rows = np.tril(np.full((n, n), 1.0 / n))
+    rows = np.tri(n)
+    rows /= n
     rows[np.diag_indices(n)] += 1.0
-    return DenseLp(
-        sense=MINIMIZE,
-        objective=np.full(n, 1.0 / n),
-        rows=rows,
-        relations=(GE,) * n,
-        rhs=np.ones(n),
-        var_lower=np.zeros(n),
-        var_upper=np.ones(n),
-        family_tag="ranking",
-    )
+    return DenseLp(rows=rows, **_fields("ranking", n))
 
 
 def build_secretary(n: int) -> DenseLp:
@@ -131,18 +189,9 @@ def build_secretary(n: int) -> DenseLp:
     i x_i <= 1 - sum_{l<i} x_l.  The x_i <= 1 bounds are kept even though
     x_i <= 1/i is implied, so the feasible set matches the printed program."""
     n = _check_size(n)
-    rows = np.tril(np.ones((n, n)), k=-1)
+    rows = np.tri(n, k=-1)
     rows[np.diag_indices(n)] = np.arange(1, n + 1, dtype=float)
-    return DenseLp(
-        sense=MAXIMIZE,
-        objective=np.arange(1, n + 1) / n,
-        rows=rows,
-        relations=(LE,) * n,
-        rhs=np.ones(n),
-        var_lower=np.zeros(n),
-        var_upper=np.ones(n),
-        family_tag="secretary",
-    )
+    return DenseLp(rows=rows, **_fields("secretary", n))
 
 
 _BUILDERS = {

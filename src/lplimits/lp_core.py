@@ -20,6 +20,11 @@ sign check, slack column and starting basis.  The nonbasic-direction vector
 ``dirn`` (+1 at the lower bound, -1 at the upper bound, 0 when basic or of
 zero span) gives the entering test and the nonbasic values.  Neither needs a
 special case for bounds-only LPs (m = 0).
+
+Row residuals and certificates read an LP's matrix only through its two
+products, ``lp.matvec(x)`` (``rows @ x``) and ``lp.rmatvec(y)``
+(``rows.T @ y``).  So ``check_feasibility`` and ``certify`` also take a
+family's ``FamilyLp``, which gives both from prefix sums and has no rows.
 """
 from __future__ import annotations
 
@@ -121,6 +126,14 @@ class DenseLp:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """rows @ x"""
+        return self.rows @ x
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """rows.T @ y"""
+        return self.rows.T @ y
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -161,7 +174,7 @@ def _row_signs(relations) -> np.ndarray:
 
 def _row_residuals(lp: DenseLp, sign: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Amount by which each row relation is violated at x (0 when satisfied)."""
-    r = lp.rows @ x - lp.rhs
+    r = lp.matvec(x) - lp.rhs
     return np.where(sign == 0, np.abs(r), np.maximum(sign * r, 0.0))
 
 
@@ -170,7 +183,8 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
 
     Row residual is the amount by which the row relation is violated (0 when
     satisfied); bound residual likewise.  A zero report means x is feasible.
-    Non-finite x is rejected: it has no meaningful residual.
+    Non-finite x is rejected: it has no meaningful residual.  lp is a
+    DenseLp or a FamilyLp.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
@@ -196,14 +210,17 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
     The duals are in the caller's sense: for maximization, binding <= rows
     carry nonnegative multipliers (shadow prices), and symmetrically for
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
+    lp is a DenseLp or a FamilyLp.
     """
     if sol.status != "optimal":
         raise LpInputError(f"certificate refused: solution status is {sol.status!r}")
-    x, y = sol.x, sol.dual
+    x, y = sol.x, np.asarray(sol.dual, dtype=float)
+    if y.shape != (lp.n_rows,):
+        raise LpInputError(f"dual must have shape ({lp.n_rows},), got {y.shape}")
     feas = check_feasibility(lp, x, tol)
     primal_obj = float(lp.objective @ x)
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
-    d_int = sgn * (lp.objective - lp.rows.T @ y)  # internal-min reduced costs
+    d_int = sgn * (lp.objective - lp.rmatvec(y))  # internal-min reduced costs
     pos = np.maximum(d_int, 0.0)
     neg = np.maximum(-d_int, 0.0)
     # internal-min dual objective, mapped back to the caller's sense
@@ -214,7 +231,7 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
     # turns a -0.0 from an equality row into 0.0)
     dual_infeas = max(0.0, float(np.max(_row_signs(lp.relations) * (sgn * y),
                                         initial=0.0)))
-    comp_rows = np.abs(y * (lp.rhs - lp.rows @ x))
+    comp_rows = np.abs(y * (lp.rhs - lp.matvec(x)))
     comp_bounds = np.maximum(pos * np.abs(x - lp.var_lower),
                              neg * np.abs(lp.var_upper - x))
     comp = max(float(np.max(comp_rows, initial=0.0)),
@@ -264,7 +281,7 @@ class _Tableau:
         bad_hi = _row_residuals(lp, sign, lp.var_upper) > FEAS_TOL
         at_upper = np.count_nonzero(bad_hi) < np.count_nonzero(bad_lo)
         x0, bad = (lp.var_upper, bad_hi) if at_upper else (lp.var_lower, bad_lo)
-        residual = lp.rhs - lp.rows @ x0
+        residual = lp.rhs - lp.matvec(x0)
 
         # Equality rows always need a basic artificial (they have no slack),
         # feasible-at-start ones simply carry it at value ~0.
@@ -414,7 +431,7 @@ class _Tableau:
         if status == "optimal":
             z[basis] = 0.0
             B = self.basis_matrix()
-            self.xB[:] = np.linalg.solve(B, lp.rhs - lp.rows @ z[:n])
+            self.xB[:] = np.linalg.solve(B, lp.rhs - lp.matvec(z[:n]))
             y = self.sgn * np.linalg.solve(B.T, self.c_phase2[basis])
         else:
             y = np.zeros(self.m)

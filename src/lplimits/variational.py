@@ -117,9 +117,11 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
         raise LpInputError(f"unknown ode kind {kind!r}")
     if not 0.0 < step <= 1e-2:
         raise LpInputError("step must be in (0, 1e-2]")
-    n = round(1.0 / step)
-    if n > ORACLE_SIZE_CAP:
-        raise LpInputError(f"{n} steps exceed cap {ORACLE_SIZE_CAP}")
+    steps = 1.0 / step   # inf for a subnormal step, which round() refuses
+    if steps > ORACLE_SIZE_CAP + 0.5:
+        raise LpInputError(f"step {step!r} needs more steps than the cap "
+                           f"{ORACLE_SIZE_CAP}")
+    n = round(steps)
     alpha, beta = _ODE_RHS[kind]
     h = 1.0 / n
     q = h * (1.0 - h / 2 * (1.0 - h / 3 * (1.0 - h / 4)))
@@ -149,7 +151,8 @@ def discretize_profile(profile, family: FamilySpec):
 
     Sampling rules: toy/ranking  x_i = g(i/n); balance N x_i = g(i/N);
     secretary i x_i = g(i/n).  Returns the vector and a gap report against
-    the family LP (max constraint violation, objective difference).
+    the family LP (max constraint violation, objective difference), checked
+    through the family's ``FamilyLp``, so no n x n matrix is built.
 
     `profile` is either a canonical g-profile matching the family kind, or a
     bare callable g (its continuum objective is then taken by quadrature).
@@ -181,7 +184,7 @@ def discretize_profile(profile, family: FamilySpec):
     if continuum is None:
         continuum = _quadrature_objective(g, family.kind)
 
-    lp = family.build()
+    lp = family.operator()
     report = check_feasibility(lp, x, tol=2.0 / n)
     lp_obj = float(lp.objective @ x)
     gap = DiscretizationGap(max_violation=report.max_violation,
@@ -229,13 +232,15 @@ class MultiplierReport:
                 and self.min_w_sq >= -self.tol)
 
 
-def _segment_derivative(t: np.ndarray, y: np.ndarray, runs) -> np.ndarray:
+def _segment_derivative(t: np.ndarray, y: np.ndarray, runs, span) -> np.ndarray:
     """Finite differences that never straddle a run boundary.
 
     Centered in run interiors, second-order one-sided at run endpoints
     (first-order for two-point runs, left slope for singletons).  A run
     starting at index 0 has at least two points: multiplier_check gives
-    indices 0 and 1 the same activity.
+    indices 0 and 1 the same activity.  ``span[i]`` holds the centred step
+    t[i + 1] - t[i - 1] for 0 < i < len(t) - 1, so the interior quotient is
+    written straight into the result.
     """
     dy = np.empty_like(y)
     for a, b in runs:  # run covers indices a..b inclusive
@@ -248,8 +253,9 @@ def _segment_derivative(t: np.ndarray, y: np.ndarray, runs) -> np.ndarray:
             dy[a] = dy[b] = s
             continue
         ts, ys = t[a:b + 1], y[a:b + 1]
-        interior = (ys[2:] - ys[:-2]) / (ts[2:] - ts[:-2])
-        dy[a + 1:b] = interior
+        interior = dy[a + 1:b]
+        np.subtract(ys[2:], ys[:-2], out=interior)
+        interior /= span[a + 1:b]
         h0, h1 = ts[1] - ts[0], ts[2] - ts[0]
         dy[a] = (ys[1] - ys[0]) / h0 * (h1 / (h1 - h0)) \
             - (ys[2] - ys[0]) / h1 * (h0 / (h1 - h0))
@@ -270,6 +276,10 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     matched by continuity to the adjacent active value.  The three residuals
     are d(mu2)/dt - mu1, v^2 mu1 and w^2 (mu2 - t (1 + mu1)); all derivatives
     are finite differences that do not cross an activity boundary.
+
+    Every value is computed in place, in the order the formulas give: besides
+    the four result arrays, one scratch array holds the slopes, then the
+    centred steps, then each residual, and d(mu2)/dt's array becomes v^2.
     """
     t = np.asarray(grid, dtype=float)
     u = np.asarray(u_candidate, dtype=float)
@@ -277,7 +287,9 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
         raise LpInputError("grid and candidate must be equal-length 1-d arrays")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(u))):
         raise LpInputError("grid and candidate must be finite")
-    if t[0] <= 0.0 or t[-1] > 1.0 or np.any(np.diff(t) <= 0):
+    slope_in = np.empty_like(u)
+    dt = np.subtract(t[1:], t[:-1], out=slope_in[1:])
+    if t[0] <= 0.0 or t[-1] > 1.0 or np.any(dt <= 0):
         raise LpInputError("grid must be strictly increasing within (0, 1]")
     if not 0.0 <= tol < np.inf:
         raise LpInputError(f"tol must be finite and >= 0, got {tol}")
@@ -287,19 +299,28 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
 
     # classify by the left-sided slope so a kink never smears into the flat
     # side; the first point uses its right-sided slope
-    slope_in = np.empty_like(u)
-    slope_in[1:] = du / np.diff(t)
+    np.divide(du, dt, out=dt)
+    del du
     slope_in[0] = slope_in[1]
     active = slope_in > ACTIVITY_THRESHOLD
+    inactive = ~active
     # maximal runs of constant activity, as inclusive index ranges [a, b]
-    starts = np.flatnonzero(np.diff(active, prepend=~active[0])).tolist()
+    starts = np.flatnonzero(np.diff(active, prepend=inactive[0])).tolist()
     runs = list(zip(starts, [a - 1 for a in starts[1:]] + [active.size - 1]))
 
-    w_sq = _segment_derivative(t, u, runs)   # w^2 = du/dt
-    v_sq = 1.0 - u - w_sq * t
+    # from here on the slopes' array is scratch: the centred steps
+    # t[i + 1] - t[i - 1] for both derivatives, then each residual
+    scratch = slope_in
+    np.subtract(t[2:], t[:-2], out=scratch[1:-1])
+    w_sq = _segment_derivative(t, u, runs, scratch)   # w^2 = du/dt
 
-    mu1 = np.where(active, -np.log(t) - 1.0, 0.0)
-    mu2 = np.where(active, t * (1.0 + mu1), 0.0)
+    mu1 = np.log(t)
+    np.negative(mu1, out=mu1)
+    mu1 -= 1.0
+    mu1[inactive] = 0.0
+    mu2 = np.add(1.0, mu1)
+    mu2 *= t
+    mu2[inactive] = 0.0
     for a, b in runs:
         if active[a]:
             continue
@@ -308,10 +329,18 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
         elif b + 1 < active.size:
             mu2[a:b + 1] = mu2[b + 1]   # lead-in: match ahead
 
-    mu2_dot = _segment_derivative(t, mu2, runs)
-    res_stat = float(np.max(np.abs(mu2_dot - mu1)))
-    res_slack = float(np.max(np.abs(v_sq * mu1)))
-    res_drive = float(np.max(np.abs(w_sq * (mu2 - t * (1.0 + mu1)))))
+    stat = _segment_derivative(t, mu2, runs, scratch)   # d(mu2)/dt
+    stat -= mu1
+    res_stat = float(np.abs(stat, out=stat).max())
+    v_sq = np.subtract(1.0, u, out=stat)
+    v_sq -= np.multiply(w_sq, t, out=scratch)
+    slack = np.multiply(v_sq, mu1, out=scratch)
+    res_slack = float(np.abs(slack, out=slack).max())
+    drive = np.add(1.0, mu1, out=scratch)
+    drive *= t
+    np.subtract(mu2, drive, out=drive)
+    drive *= w_sq
+    res_drive = float(np.abs(drive, out=drive).max())
     min_v, min_w = float(v_sq.min()), float(w_sq.min())
     # tiny FD negatives within tolerance are squashed so the stored fields
     # really are squares; the report keeps the raw minima

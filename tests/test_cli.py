@@ -116,6 +116,16 @@ def test_ode_step_below_floor_is_json_error(capsys, monkeypatch):
     assert "cap" in payload["error"]
 
 
+@pytest.mark.parametrize("step", ["5e-324", "1e-309"])
+def test_ode_subnormal_step_is_json_error(capsys, step):
+    # 1 / step overflows to inf; the cap check must refuse it before round()
+    code, out, err = run_cli(capsys, "ode", "--kind", "balance", "--step", step)
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "cap" in payload["error"]
+
+
 def test_vc_check(capsys):
     code, out, _ = run_cli(capsys, "vc-check", "--family", "ranking:400")
     assert code == 0

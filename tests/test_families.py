@@ -230,3 +230,54 @@ def test_family_spec_rejects_non_integer_size():
         spec = FamilySpec("toy", size)
         assert spec.size == 3 and type(spec.size) is int
         assert spec.build().n_vars == 3
+
+
+def _reference_rows(kind, n):
+    """Each family's rows as first written: through np.tril, np.where and
+    np.vstack, with n x n temporaries."""
+    if kind == "toy":
+        rows = np.tril(np.full((n, n), 1.0 / n), k=-1)
+        rows[np.diag_indices(n)] += 1.0
+        mono = np.zeros((n - 1, n))
+        idx = np.arange(n - 1)
+        mono[idx, idx] = 1.0
+        mono[idx, idx + 1] = -1.0
+        return np.vstack([rows, mono])
+    if kind == "balance":
+        p = np.arange(1, n + 1)[:, None]
+        i = np.arange(1, n + 1)[None, :]
+        return np.where(i <= p, 1.0 + (p - i) / n, 0.0)
+    if kind == "ranking":
+        rows = np.tril(np.full((n, n), 1.0 / n))
+        rows[np.diag_indices(n)] += 1.0
+        return rows
+    rows = np.tril(np.ones((n, n)), k=-1)
+    rows[np.diag_indices(n)] = np.arange(1, n + 1, dtype=float)
+    return rows
+
+
+BUILDERS = {"toy": build_toy, "balance": build_balance, "ranking": build_ranking,
+            "secretary": build_secretary}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 513, 2048])
+def test_rows_match_reference_bytes(kind, n):
+    rows = BUILDERS[kind](n).rows
+    ref = _reference_rows(kind, n)
+    assert rows.dtype == ref.dtype and rows.shape == ref.shape
+    assert rows.tobytes() == ref.tobytes()   # the sign of every zero included
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_builder_allocates_rows_once(kind):
+    # the rows array plus a one-byte mask or finiteness check: no second
+    # n x n float array (the tril/where/vstack builders peaked at 2.13x)
+    BUILDERS[kind](8)   # first-call allocations are not the builder's
+    tracemalloc.start()
+    try:
+        lp = BUILDERS[kind](2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * lp.rows.nbytes

@@ -84,6 +84,13 @@ def test_ode_rejects_bad_steps():
         integrate_tight_ode("toy", 1e-3)
 
 
+@pytest.mark.parametrize("step", [5e-324, 1e-309])
+def test_ode_rejects_a_step_whose_reciprocal_overflows(step):
+    # 1 / step is inf for both, which round() cannot convert
+    with pytest.raises(LpInputError, match="cap"):
+        integrate_tight_ode("balance", step)
+
+
 def test_ode_step_floor_is_checked_before_allocating(monkeypatch):
     # with numpy unreachable, any array the call made would raise
     # AttributeError instead of the step check's LpInputError
@@ -417,3 +424,121 @@ def test_ode_builds_in_three_arrays(kind):
         tracemalloc.stop()
     assert traj.values.shape == (n + 1,)
     assert peak <= 3.1 * 8 * (n + 1)
+
+
+@pytest.mark.parametrize("profile", [TOY_G, BALANCE_G, RANKING_G, SECRETARY_G],
+                         ids=lambda p: p.tag)
+def test_discretize_builds_no_matrix(profile):
+    # feasibility goes through the family's prefix-sum products; the dense
+    # 2048-size LP alone is 33.6 MB, 67 MB for toy
+    discretize_profile(profile, FamilySpec(profile.family, 8))
+    tracemalloc.start()
+    try:
+        discretize_profile(profile, FamilySpec(profile.family, 2048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def _secretary_grid(points):
+    t = np.arange(1, points + 1) / points
+    u = SECRETARY_U(t)
+    return t, {"candidate": u, "perturbed": u + 0.01 * t * (1 - t)}
+
+
+@pytest.mark.parametrize("which", ["candidate", "perturbed"])
+def test_multiplier_check_peak_memory(which):
+    # the four result arrays and the activity mask are 4.125 grid arrays;
+    # one scratch array and d(mu2)/dt (reused as v^2) come on top
+    t, candidates = _secretary_grid(10**6)
+    u = candidates[which]
+    multiplier_check(t[:100], u[:100])   # first-call allocations are not the check's
+    tracemalloc.start()
+    try:
+        multiplier_check(t, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0 * t.nbytes
+
+
+def _derivative_reference(t, y, runs):
+    dy = np.empty_like(y)
+    for a, b in runs:
+        ln = b - a + 1
+        if ln == 1:
+            dy[a] = (y[a] - y[a - 1]) / (t[a] - t[a - 1])
+            continue
+        if ln == 2:
+            dy[a] = dy[b] = (y[b] - y[a]) / (t[b] - t[a])
+            continue
+        ts, ys = t[a:b + 1], y[a:b + 1]
+        dy[a + 1:b] = (ys[2:] - ys[:-2]) / (ts[2:] - ts[:-2])
+        h0, h1 = ts[1] - ts[0], ts[2] - ts[0]
+        dy[a] = (ys[1] - ys[0]) / h0 * (h1 / (h1 - h0)) \
+            - (ys[2] - ys[0]) / h1 * (h0 / (h1 - h0))
+        h0, h1 = ts[-1] - ts[-2], ts[-1] - ts[-3]
+        dy[b] = (ys[-1] - ys[-2]) / h0 * (h1 / (h1 - h0)) \
+            - (ys[-1] - ys[-3]) / h1 * (h0 / (h1 - h0))
+    return dy
+
+
+def _multiplier_reference(t, u, tol):
+    """multiplier_check as first written, with a new array for every
+    intermediate: the reference for the in-place version's bytes."""
+    slope_in = np.empty_like(u)
+    slope_in[1:] = np.diff(u) / np.diff(t)
+    slope_in[0] = slope_in[1]
+    active = slope_in > variational.ACTIVITY_THRESHOLD
+    starts = np.flatnonzero(np.diff(active, prepend=~active[0])).tolist()
+    runs = list(zip(starts, [a - 1 for a in starts[1:]] + [active.size - 1]))
+    w_sq = _derivative_reference(t, u, runs)
+    v_sq = 1.0 - u - w_sq * t
+    mu1 = np.where(active, -np.log(t) - 1.0, 0.0)
+    mu2 = np.where(active, t * (1.0 + mu1), 0.0)
+    for a, b in runs:
+        if active[a]:
+            continue
+        if a > 0:
+            mu2[a:b + 1] = mu2[a - 1]
+        elif b + 1 < active.size:
+            mu2[a:b + 1] = mu2[b + 1]
+    residuals = (np.max(np.abs(_derivative_reference(t, mu2, runs) - mu1)),
+                 np.max(np.abs(v_sq * mu1)),
+                 np.max(np.abs(w_sq * (mu2 - t * (1.0 + mu1)))),
+                 v_sq.min(), w_sq.min())
+    v_sq[(v_sq < 0) & (v_sq >= -tol)] = 0.0
+    w_sq[(w_sq < 0) & (w_sq >= -tol)] = 0.0
+    return (w_sq, v_sq, mu1, mu2, active), residuals
+
+
+def _multiplier_cases():
+    """(t, u) pairs: the secretary grids, short and alternating runs, a
+    constant candidate and a random non-decreasing one on a random grid."""
+    for points in (10**4, 10**6):
+        t, candidates = _secretary_grid(points)
+        for u in candidates.values():
+            yield t, u
+    t = np.arange(1, 11) / 16
+    yield t, np.array([0, 0, 0, 1, 1, 1, 3, 5, 5, 5]) / 16
+    t = np.arange(1, 1001) / 1000
+    u = np.where(t < 0.5, np.clip(t - 0.3, 0.0, None), 0.2)
+    yield t, np.where(t >= 0.7, 0.2 + (t - 0.7), u)
+    yield t, np.full(t.size, 0.25)
+    rng = np.random.default_rng(5)
+    t = np.unique(rng.random(5000))
+    t = t[t > 0]
+    yield t, np.cumsum(rng.random(t.size) * (rng.random(t.size) < 0.5)) * 1e-3
+
+
+def test_multiplier_check_matches_reference_bytes():
+    for t, u in _multiplier_cases():
+        prof, rep = multiplier_check(t, u, tol=1e-6)
+        arrays, residuals = _multiplier_reference(t, u, 1e-6)
+        got = (prof.w_sq, prof.v_sq, prof.mu1, prof.mu2, rep.active)
+        for a, b in zip(got, arrays):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got = [rep.residual_stationarity, rep.residual_slack, rep.residual_drive,
+               rep.min_v_sq, rep.min_w_sq]
+        assert [v.hex() for v in got] == [float(r).hex() for r in residuals]

@@ -3,9 +3,9 @@
 Every family has a closed-form optimum: toy, balance and ranking from running
 every row tight, secretary from the best threshold rule.
 
-Family instances are built exactly as written: redundant bounds and
-monotonicity rows are materialized rather than substituted away, so the
-matrices can be spot-checked coefficient by coefficient.
+Each family's matrix is defined once, by the prefix sums of its ``FamilyLp``:
+``build()``'s rows are ``matvec`` applied to the identity, redundant bounds
+and monotonicity rows included, so they can be spot-checked entry by entry.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ LIMIT_TARGETS = {
 # pivots under Bland's entering rule alone).
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
+_BUILD_BLOCK = 32   # identity columns per matvec in _build; 1/64 of n = 2048
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,10 @@ class FamilyLp:
 
     ``matvec`` and ``rmatvec`` give ``rows @ x`` and ``rows.T @ y`` from one
     or two prefix sums in O(n), so ``check_feasibility`` and ``certify``
-    take it as they take a DenseLp, without an n x n matrix.  s_i is
-    x_1 + ... + x_i and r_j is y_j + ... + y_n.
+    take it as they take a DenseLp, without an n x n matrix.  ``matvec`` of
+    an (n, k) block is (m, k), and ``build()``'s rows are ``matvec`` of the
+    identity: these sums are the one definition of the family's matrix.
+    s_i is x_1 + ... + x_i and r_j is y_j + ... + y_n.
     """
 
     sense: str
@@ -89,15 +92,15 @@ class FamilyLp:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         n, kind = self.n_vars, self.family_tag
-        s = np.cumsum(x)
+        s = np.cumsum(x, axis=0)
         if kind == "toy":        # x_i + s_{i-1}/n, then x_i - x_{i+1}
             return np.concatenate([x + (s - x) / n, x[:-1] - x[1:]])
-        if kind == "balance":    # s_p + (p s_p - sum_{i<=p} i x_i)/N
-            index = np.arange(1, n + 1)
-            return s + (index * s - np.cumsum(index * x)) / n
         if kind == "ranking":    # x_i + s_i/n
             return x + s / n
-        return np.arange(1, n + 1) * x + (s - x)   # secretary: i x_i + s_{i-1}
+        index = np.arange(1, n + 1).reshape((n,) + (1,) * (x.ndim - 1))
+        if kind == "balance":    # s_p + (p s_p - sum_{i<=p} i x_i)/N
+            return s + (index * s - np.cumsum(index * x, axis=0)) / n
+        return index * x + (s - x)   # secretary: i x_i + s_{i-1}
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         n, kind = self.n_vars, self.family_tag
@@ -146,52 +149,41 @@ def _fields(kind: str, n: int) -> dict:
                 var_lower=np.zeros(n), var_upper=np.ones(n), family_tag=kind)
 
 
-# Each builder writes its rows into one float array; a boolean mask (one byte
-# per entry) marks the lower triangle, so no second float matrix is made.
+def _build(kind: str, n: int) -> DenseLp:
+    """The size-n family LP, its rows ``matvec`` of the identity in blocks."""
+    n = _check_size(n)
+    fields = _fields(kind, n)
+    op = FamilyLp(**fields)
+    rows = np.empty((op.n_rows, n))
+    for a in range(0, n, _BUILD_BLOCK):
+        w = min(_BUILD_BLOCK, n - a)
+        rows[:, a:a + w] = op.matvec(np.eye(n, w, -a))
+    return DenseLp(rows=rows, **fields)
+
 
 def build_toy(n: int) -> DenseLp:
     """minimize (1/n) sum x_i over x in [0,1]^n with
     1 - x_i <= (1/n) sum_{l<i} x_l and x_i >= x_{i+1}."""
-    n = _check_size(n)
-    rows = np.zeros((2 * n - 1, n))
-    np.copyto(rows[:n], 1.0 / n, where=np.tri(n, k=-1, dtype=bool))
-    rows[np.diag_indices(n)] += 1.0  # move x_i to the left-hand side
-    idx = np.arange(n - 1)
-    rows[n + idx, idx] = 1.0
-    rows[n + idx, idx + 1] = -1.0
-    return DenseLp(rows=rows, **_fields("toy", n))
+    return _build("toy", n)
 
 
 def build_balance(N: int) -> DenseLp:
     """maximize sum x_i (1 - i/N) over x in [0,1]^N with
     sum_{i<=p} x_i (1 + (p-i)/N) <= p/N for every p."""
-    N = _check_size(N)
-    index = np.arange(1, N + 1, dtype=float)
-    rows = np.subtract.outer(index, index)   # p - i
-    rows /= N
-    rows += 1.0
-    rows *= np.tri(N, dtype=bool)   # +0.0 above: every entry there is positive
-    return DenseLp(rows=rows, **_fields("balance", N))
+    return _build("balance", N)
 
 
 def build_ranking(n: int) -> DenseLp:
     """minimize (1/n) sum x_i over x in [0,1]^n with
     x_i + (1/n) sum_{j<=i} x_j >= 1."""
-    n = _check_size(n)
-    rows = np.tri(n)
-    rows /= n
-    rows[np.diag_indices(n)] += 1.0
-    return DenseLp(rows=rows, **_fields("ranking", n))
+    return _build("ranking", n)
 
 
 def build_secretary(n: int) -> DenseLp:
     """maximize sum x_i (i/n) over x in [0,1]^n with
     i x_i <= 1 - sum_{l<i} x_l.  The x_i <= 1 bounds are kept even though
     x_i <= 1/i is implied, so the feasible set matches the printed program."""
-    n = _check_size(n)
-    rows = np.tri(n, k=-1)
-    rows[np.diag_indices(n)] = np.arange(1, n + 1, dtype=float)
-    return DenseLp(rows=rows, **_fields("secretary", n))
+    return _build("secretary", n)
 
 
 _BUILDERS = {

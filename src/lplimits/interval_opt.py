@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lp_core import LpInputError, _as_int
+from .lp_core import LpInputError, _as_float, _as_int
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,8 @@ def search_best(K: int, resolution: float, min_separation: float) -> SearchResul
     K = _as_int(K, "K")
     if K not in (1, 2):
         raise LpInputError("exhaustive search supports K in {1, 2}")
+    resolution = _as_float(resolution, "resolution")
+    min_separation = _as_float(min_separation, "min_separation")
     if not 0 < resolution <= 1e-2:
         raise LpInputError("resolution must be in (0, 1e-2]")
     if not resolution <= min_separation < math.inf:

@@ -28,6 +28,7 @@ family's ``FamilyLp``, which gives both from prefix sums and has no rows.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,14 @@ def _as_int(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise LpInputError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_float(value, name: str) -> float:
+    """value as a float: any real number, numpy's included; LpInputError
+    otherwise, so text such as "0.5" is refused rather than parsed."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise LpInputError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,7 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
     Non-finite x is rejected: it has no meaningful residual.  lp is a
     DenseLp or a FamilyLp.
     """
+    tol = _as_float(tol, "tol")
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpInputError(f"x must have shape ({lp.n_vars},), got {x.shape}")
@@ -212,6 +222,7 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
     lp is a DenseLp or a FamilyLp.
     """
+    tol = _as_float(tol, "tol")
     if sol.status != "optimal":
         raise LpInputError(f"certificate refused: solution status is {sol.status!r}")
     x, y = sol.x, np.asarray(sol.dual, dtype=float)

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec, _geometric
-from .lp_core import LpInputError, check_feasibility
+from .lp_core import LpInputError, _as_float, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
 # flat piece of the secretary optimizer from the hyperbolic piece.
@@ -76,6 +76,7 @@ def eval_profile(profile: ContinuumProfile | str, t: float) -> float:
         if profile not in PROFILES:
             raise LpInputError(f"unknown profile tag {profile!r}")
         profile = PROFILES[profile]
+    t = _as_float(t, "t")
     if not 0.0 <= t <= 1.0:
         raise LpInputError(f"t={t} outside [0, 1]")
     return float(profile(t))
@@ -115,6 +116,7 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     """
     if kind not in _ODE_RHS:
         raise LpInputError(f"unknown ode kind {kind!r}")
+    step = _as_float(step, "step")
     if not 0.0 < step <= 1e-2:
         raise LpInputError("step must be in (0, 1e-2]")
     steps = 1.0 / step   # inf for a subnormal step, which round() refuses
@@ -173,7 +175,11 @@ def discretize_profile(profile, family: FamilySpec):
         raise LpInputError("profile must be a ContinuumProfile or callable")
 
     grid = np.arange(1, n + 1) / n
-    gv = np.asarray(g(grid), dtype=float)
+    values = g(grid)
+    try:
+        gv = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise LpInputError(f"profile values must be real numbers: {exc}") from None
     if family.kind in ("toy", "ranking"):
         x = gv
     elif family.kind == "balance":
@@ -291,6 +297,7 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     dt = np.subtract(t[1:], t[:-1], out=slope_in[1:])
     if t[0] <= 0.0 or t[-1] > 1.0 or np.any(dt <= 0):
         raise LpInputError("grid must be strictly increasing within (0, 1]")
+    tol = _as_float(tol, "tol")
     if not 0.0 <= tol < np.inf:
         raise LpInputError(f"tol must be finite and >= 0, got {tol}")
     du = np.diff(u)

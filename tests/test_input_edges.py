@@ -1,6 +1,8 @@
 """Every integer input goes through one check, ``lp_core._as_int``: a
 non-integer value is refused with LpInputError, and an integer-valued
-number or the decimal text of one gives the same result as the int."""
+number or the decimal text of one gives the same result as the int.
+Every float parameter goes through ``lp_core._as_float``: a non-number,
+text included, is refused with LpInputError."""
 import pickle
 
 import numpy as np
@@ -11,16 +13,23 @@ from lplimits import (
     LpInputError,
     PolicyTable,
     SimInstance,
+    certify,
+    check_feasibility,
+    eval_profile,
     families,
+    integrate_tight_ode,
     load_lp,
+    multiplier_check,
     planted_instance,
     run_balance,
     run_ranking,
     run_secretary,
     search_best,
+    solve,
     triangular_instance,
 )
 from lplimits.online_sim import _block_rng, read_instance
+from lplimits.variational import SECRETARY_U
 
 
 def _policy(n):
@@ -51,6 +60,39 @@ EDGES = {
     "_block_rng.seed": (lambda v: _block_rng(v, 0).random(4), 3),
     "search_best.K": (lambda v: search_best(v, 1e-2, 1e-2), 2),
 }
+
+
+_RANKING3 = families.build_ranking(3)
+_GRID = np.arange(1, 101) / 100
+
+
+# name -> (call on the float input, an accepted value of it)
+FLOAT_EDGES = {
+    "integrate_tight_ode.step": (lambda v: integrate_tight_ode("balance", v), 1e-3),
+    "multiplier_check.tol": (
+        lambda v: multiplier_check(_GRID, SECRETARY_U(_GRID), tol=v), 1e-6),
+    "search_best.resolution": (lambda v: search_best(1, v, 0.1), 1e-2),
+    "search_best.min_separation": (lambda v: search_best(1, 1e-2, v), 0.1),
+    "eval_profile.t": (lambda v: eval_profile("ToyG", v), 0.5),
+    "check_feasibility.tol": (
+        lambda v: check_feasibility(_RANKING3, np.zeros(3), tol=v), 1e-9),
+    "certify.tol": (lambda v: certify(_RANKING3, solve(_RANKING3), tol=v), 1e-8),
+}
+
+
+@pytest.mark.parametrize("edge", FLOAT_EDGES)
+def test_float_edge_refuses_a_non_number(edge):
+    call, good = FLOAT_EDGES[edge]
+    for bad in (str(good), "x", None, [good]):
+        with pytest.raises(LpInputError, match="must be a real number"):
+            call(bad)
+
+
+@pytest.mark.parametrize("edge", FLOAT_EDGES)
+def test_float_edge_reads_real_numbers_alike(edge):
+    call, good = FLOAT_EDGES[edge]
+    want = pickle.dumps(call(good))
+    assert pickle.dumps(call(np.float64(good))) == want
 
 
 @pytest.mark.parametrize("edge", EDGES)

@@ -37,8 +37,15 @@ def test_operator_products_match_rows(kind, n):
     spec = FamilySpec(kind, n)
     dense, op = spec.build(), spec.operator()
     abs_rows = np.abs(dense.rows)
-    for x in _points(kind, n, n):
+    points = _points(kind, n, n)
+    for x in points:
         _assert_close(op.matvec(x), dense.rows @ x, abs_rows @ np.abs(x))
+    # an (n, k) block gives, column by column, the vector products' bytes
+    block = np.column_stack(points)
+    products = op.matvec(block)
+    assert products.shape == (dense.n_rows, block.shape[1])
+    for j in range(block.shape[1]):
+        assert products[:, j].tobytes() == op.matvec(block[:, j]).tobytes()
     for y in _points(kind, n, dense.n_rows):
         _assert_close(op.rmatvec(y), dense.rows.T @ y, abs_rows.T @ np.abs(y))
 

@@ -292,6 +292,8 @@ def test_discretize_rejects_mismatch():
 def test_discretize_rejects_a_non_callable_profile():
     with pytest.raises(LpInputError, match="ContinuumProfile or callable"):
         discretize_profile(0.5, FamilySpec("toy", 10))
+    with pytest.raises(LpInputError, match="profile values must be real numbers"):
+        discretize_profile(lambda t: np.full(t.shape, "x"), FamilySpec("toy", 10))
 
 
 def _u_star_grid(points=10_000):

@@ -11,8 +11,12 @@ consists only of degenerate steps, so each of its steps would be a Bland step.
 
 The working tableau is a single dense m x N array updated in place.  A basis
 exchange touches only the rows where the pivot column is nonzero and the
-columns where the pivot row is nonzero; the family LPs keep both sparse, so
-this is far cheaper than a full rank-one update and gives the same values.
+columns where the pivot row is nonzero, as contiguous slice blocks: each run
+of such rows times each run of such columns, with runs at most
+``_BLOCK_GAP`` indices apart merged into one.  On the family LPs the rows
+form one run (toy: up to three) and the columns at most two, so an exchange
+is at most six plain slice updates.  That is far cheaper than a full rank-one
+update or a fancy-indexed scatter, and gives the same values.
 
 Two vectors carry all the per-row and per-column state.  The row-sign vector
 (+1 for ``<=``, -1 for ``>=``, 0 for ``=``) gives every row residual, dual
@@ -46,6 +50,8 @@ LE, GE, EQ = "<=", ">=", "="
 
 FAMILY_KINDS = ("toy", "balance", "ranking", "secretary")
 
+_BLOCK_GAP = 32   # index runs at most this far apart share one update block
+
 
 class LpInputError(ValueError):
     """Rejected LP input (bad shapes, non-finite entries, bad sizes)."""
@@ -68,6 +74,15 @@ def _as_float(value, name: str) -> float:
     if isinstance(value, numbers.Real):
         return float(value)
     raise LpInputError(f"{name} must be a real number, got {value!r}")
+
+
+def _as_tol(value) -> float:
+    """A tolerance as a float: finite and >= 0; LpInputError otherwise, since
+    a NaN or negative tolerance would fail every comparison made with it."""
+    tol = _as_float(value, "tol")
+    if not 0.0 <= tol < np.inf:
+        raise LpInputError(f"tol must be finite and >= 0, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -192,10 +207,10 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
 
     Row residual is the amount by which the row relation is violated (0 when
     satisfied); bound residual likewise.  A zero report means x is feasible.
-    Non-finite x is rejected: it has no meaningful residual.  lp is a
-    DenseLp or a FamilyLp.
+    Non-finite x is rejected: it has no meaningful residual; so is a tol
+    that is not finite and >= 0.  lp is a DenseLp or a FamilyLp.
     """
-    tol = _as_float(tol, "tol")
+    tol = _as_tol(tol)
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpInputError(f"x must have shape ({lp.n_vars},), got {x.shape}")
@@ -215,14 +230,15 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
 
     Recomputes primal feasibility, dual sign feasibility, the complementary
     slackness residual and |primal - dual| objective gap from scratch; the
-    certificate passes iff all are within tol scaled by (1 + |objective|).
+    certificate passes iff all are within tol scaled by (1 + |objective|);
+    tol must be finite and >= 0.
 
     The duals are in the caller's sense: for maximization, binding <= rows
     carry nonnegative multipliers (shadow prices), and symmetrically for
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
     lp is a DenseLp or a FamilyLp.
     """
-    tol = _as_float(tol, "tol")
+    tol = _as_tol(tol)
     if sol.status != "optimal":
         raise LpInputError(f"certificate refused: solution status is {sol.status!r}")
     x, y = sol.x, np.asarray(sol.dual, dtype=float)
@@ -262,6 +278,19 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
         dual_objective=dual_obj,
         passed=passed,
     )
+
+
+def _blocks(idx: np.ndarray) -> list:
+    """(start, stop) of each run of the sorted, non-empty index array idx;
+    runs whose indices differ by at most _BLOCK_GAP share one block."""
+    first, last = int(idx[0]), int(idx[-1]) + 1
+    if last - first - idx.size < _BLOCK_GAP:  # too few holes for a split
+        return [(first, last)]
+    bounds = [first]
+    for g in np.flatnonzero(np.diff(idx) > _BLOCK_GAP).tolist():
+        bounds += (int(idx[g]) + 1, int(idx[g + 1]))
+    bounds.append(last)
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
 class _Tableau:
@@ -364,11 +393,13 @@ class _Tableau:
         bound flip negates ``dirn[q]``.  A basis exchange sets ``dirn[q]`` to
         0 and the leaving variable's to the bound it stops at.
 
-        A basis exchange updates ``T`` in place and touches only the rows
-        where the pivot column is nonzero and the columns where the pivot
-        row is nonzero.  Every other entry would only have a product with a
-        zero factor subtracted, so each value (up to the sign of a zero) and
-        each pivot choice matches a full rank-one update.
+        A basis exchange updates ``T`` in place by slice blocks
+        ``T[a:b, c0:c1]``, one per pair of a ``_blocks`` run of the rows
+        where the pivot column is nonzero and one of the columns where the
+        pivot row is nonzero.  Every entry outside the blocks, and every
+        entry merged into one across a gap, has only a product with a zero
+        factor subtracted, so each value (up to the sign of a zero) and each
+        pivot choice matches a full rank-one update.
         """
         T, lo, hi = self.T, self.lo, self.hi
         basis, dirn, xB = self.basis, self.dirn, self.xB
@@ -419,8 +450,14 @@ class _Tableau:
             dirn[leaving] = (1.0 if delta[r] < 0 else -1.0) if span[leaving] else 0.0
             xB[r] = lo[q] + t_rows if direction > 0 else hi[q] - t_rows
             Trow = T[r] / T[r, q]
-            cols = Trow.nonzero()[0]
-            T[rows[:, None], cols] -= np.outer(col[rows], Trow[cols])
+            row_blocks = _blocks(rows)
+            top = row_blocks[0][0]
+            # col is a view of T, and column q lies in the updated columns
+            part = col[top:row_blocks[-1][1]].copy()
+            for c0, c1 in _blocks(Trow.nonzero()[0]):
+                seg = Trow[c0:c1]
+                for a, b in row_blocks:
+                    T[a:b, c0:c1] -= np.outer(part[a - top:b - top], seg)
             T[r] = Trow
             d -= d[q] * Trow
             basis[r] = q

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import families
 # the threshold-rule values live with the secretary LP; importable from here too
 from .families import best_threshold, threshold_policy_value  # noqa: F401
-from .lp_core import LpInputError, _as_int
+from .lp_core import LpInputError, _as_int, check_feasibility
 
 TRIAL_BLOCK = 4096
 DEFAULT_TRIALS = 100_000
@@ -264,13 +265,14 @@ def secretary_policy_from_lp(x) -> PolicyTable:
     if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
         raise LpInputError("x must be a non-empty vector of finite values")
     n = x.size
-    prior = np.concatenate([[0.0], np.cumsum(x)[:-1]])
+    # the secretary rows are FamilyLp's prefix sums, without operator()'s cap
+    lp = families.FamilyLp(**families._fields("secretary", n))
+    report = check_feasibility(lp, x, 1e-6)
+    if not report.ok:
+        raise LpInputError("x is not feasible for the secretary LP "
+                           f"(violation {report.max_violation:.3g})")
     i = np.arange(1, n + 1)
-    violation = max(float(np.max(i * x + prior - 1.0)),
-                    float(np.max(-x)), float(np.max(x - 1.0)), 0.0)
-    if violation > 1e-6:
-        raise LpInputError(
-            f"x is not feasible for the secretary LP (violation {violation:.3g})")
+    prior = np.concatenate([[0.0], np.cumsum(x)[:-1]])
     denom = 1.0 - prior
     reachable = denom > 1e-12
     p = np.where(reachable, x * i / np.where(reachable, denom, 1.0), 0.0)

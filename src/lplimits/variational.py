@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec, _geometric
-from .lp_core import LpInputError, _as_float, check_feasibility
+from .lp_core import LpInputError, _as_float, _as_tol, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
 # flat piece of the secretary optimizer from the hyperbolic piece.
@@ -297,9 +297,7 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     dt = np.subtract(t[1:], t[:-1], out=slope_in[1:])
     if t[0] <= 0.0 or t[-1] > 1.0 or np.any(dt <= 0):
         raise LpInputError("grid must be strictly increasing within (0, 1]")
-    tol = _as_float(tol, "tol")
-    if not 0.0 <= tol < np.inf:
-        raise LpInputError(f"tol must be finite and >= 0, got {tol}")
+    tol = _as_tol(tol)
     du = np.diff(u)
     if np.any(du < -1e-12):
         raise LpInputError("u_candidate must be non-decreasing")

@@ -2,7 +2,8 @@
 non-integer value is refused with LpInputError, and an integer-valued
 number or the decimal text of one gives the same result as the int.
 Every float parameter goes through ``lp_core._as_float``: a non-number,
-text included, is refused with LpInputError."""
+text included, is refused with LpInputError.  A tol also goes through
+``lp_core._as_tol``, which refuses a NaN, infinite or negative value."""
 import pickle
 
 import numpy as np
@@ -93,6 +94,15 @@ def test_float_edge_reads_real_numbers_alike(edge):
     call, good = FLOAT_EDGES[edge]
     want = pickle.dumps(call(good))
     assert pickle.dumps(call(np.float64(good))) == want
+
+
+@pytest.mark.parametrize("edge", ["check_feasibility.tol", "certify.tol"])
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, -1e-12, float("inf")])
+def test_tol_edge_refuses_a_value_outside_its_range(edge, bad):
+    # a NaN or negative tol would call every point infeasible
+    call, _ = FLOAT_EDGES[edge]
+    with pytest.raises(LpInputError, match="tol must be finite and >= 0"):
+        call(bad)
 
 
 @pytest.mark.parametrize("edge", EDGES)

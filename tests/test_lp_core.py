@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from lplimits import (
     LpInputError,
     build_balance,
     build_ranking,
+    build_secretary,
     build_toy,
     certify,
     check_feasibility,
@@ -17,8 +20,8 @@ from lplimits import (
     load_lp,
     solve,
 )
-from lplimits.families import FAMILY_KINDS, FamilySpec
-from lplimits.lp_core import EQ, GE, LE, MAXIMIZE, MINIMIZE
+from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilySpec, best_threshold
+from lplimits.lp_core import _BLOCK_GAP, EQ, GE, LE, MAXIMIZE, MINIMIZE, _blocks
 
 
 def box_lp(sense, c, rows, rels, rhs, lo=None, hi=None):
@@ -423,3 +426,76 @@ def test_mixed_pivots_pinned():
     sols = [solve(random_mixed_lp(rng)) for _ in range(200)]
     assert "".join(s.status[0] for s in sols) == MIXED_STATUS
     assert [s.iterations for s in sols] == MIXED_PIVOTS
+
+
+# Iterations and sha256 of x.tobytes() and dual.tobytes() of family optima.
+# The pivot update must not move one bit of either.  The final x and duals
+# come from np.linalg.solve, so these digests belong to one numpy/LAPACK
+# build; the pivot counts do not.
+SOLUTION_BYTES = {
+    ("toy", 128): (254, "bc0751099b058eb458ac7dfa0ebfe5fcff6fd508c5864e7f19cc37f1682b3515",
+                   "935922dc94552718e372a1d089b12327ca524efc4980941286669a7176fd7abb"),
+    ("toy", 512): (1022, "29a875c8e7b926e5df60e90da65c242859050bf510b26f2eee745d9f620ec732",
+                   "1ee13c3b4299258a3d91503a1062b5d628cef4edaff16200d6f04ba67147b663"),
+    ("balance", 128): (127, "0ade9195093f77d611f7e59879dce10a7737c1cdd593e6f37cccc96b03382574",
+                       "f1ebcb753cde99d805ae7d5dcfcaf691b8f964ffdace30746998c74eefd3f7f5"),
+    ("balance", 512): (511, "9de2222b5f859292e595f349f2881d7dba4b983a5e82b5a373df014dc2aae5d5",
+                       "b013043f0f73ac23fcd438b1280e98679e001bf711d620353a0d6f648754e6af"),
+    ("ranking", 128): (128, "668e92036008ff6611b1fe8f1ccdfc8ac1b027d8e297d4b65ed10dda7eb6b332",
+                       "9a4e1efa5aa64c0ada12cb574efead85e1773fb84960dff205c444391b36db58"),
+    ("ranking", 512): (512, "819c79b08931c875f20b6a9feb2fcf748bd0d7bbe86a602b78266368036d4a95",
+                       "75630ed4d57ab6e19b0ba077a5e87c20947a6c130b16a54139c848bca132292b"),
+    ("secretary", 128): (81, "e1314dc5111d5f7edd6489a188469f90dc8ed5fdf40b9265587c3a348605a336",
+                         "d335ed50df01aa548196d5d5f5f06ae69d2d198ae5c69945b2dbe2efbe8958f3"),
+    ("secretary", 512): (324, "b525314f5fb97f190c442186d810b8be712bdbf178d6716c0c8c9f06bba477c1",
+                         "0dd4a33e9f73a6fb61dace75fddf69d575d65746c5b9cca581fbf1ab1d06ea18"),
+}
+
+
+@pytest.mark.parametrize("kind,n", SOLUTION_BYTES)
+def test_solution_bytes_pinned(kind, n):
+    sol = solve(FamilySpec(kind, n).build())
+    assert sol.status == "optimal"
+    digests = (hashlib.sha256(sol.x.tobytes()).hexdigest(),
+               hashlib.sha256(sol.dual.tobytes()).hexdigest())
+    assert (sol.iterations, *digests) == SOLUTION_BYTES[kind, n]
+
+
+@pytest.mark.parametrize("idx, want", [
+    pytest.param([7], [(7, 8)], id="single"),
+    pytest.param(range(3, 40), [(3, 40)], id="contiguous"),
+    pytest.param([0, 1, 1 + _BLOCK_GAP, 2 + _BLOCK_GAP], [(0, 3 + _BLOCK_GAP)],
+                 id="gap-merged"),
+    pytest.param([0, _BLOCK_GAP, 2 * _BLOCK_GAP], [(0, 2 * _BLOCK_GAP + 1)],
+                 id="gaps-merged"),
+    pytest.param([0, 1, 2 + _BLOCK_GAP, 3 + _BLOCK_GAP],
+                 [(0, 2), (2 + _BLOCK_GAP, 4 + _BLOCK_GAP)], id="gap-split"),
+    pytest.param([0, 1, 2, 497, 498, 499], [(0, 3), (497, 500)], id="both-ends"),
+    pytest.param([0, 100, 200], [(0, 1), (100, 101), (200, 201)], id="three-runs"),
+])
+def test_blocks(idx, want):
+    assert _blocks(np.asarray(idx)) == want
+
+
+def test_blocks_match_a_loop_over_the_indices():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        idx = np.flatnonzero(rng.random(rng.integers(1, 400)) < rng.random() ** 3)
+        if not idx.size:
+            continue
+        want = [[int(idx[0]), int(idx[0]) + 1]]
+        for i in idx[1:].tolist():
+            if i - (want[-1][1] - 1) <= _BLOCK_GAP:
+                want[-1][1] = i + 1
+            else:
+                want.append([i, i + 1])
+        assert _blocks(idx) == [tuple(b) for b in want]
+
+
+def test_secretary_solves_and_certifies_at_the_size_cap():
+    n = SIMPLEX_SIZE_CAP
+    lp = build_secretary(n)
+    sol = solve(lp)
+    assert sol.status == "optimal" and sol.iterations == 1295
+    assert certify(lp, sol).passed
+    assert sol.objective_value == pytest.approx(best_threshold(n)[1], abs=1e-9)

@@ -783,3 +783,14 @@ def test_instance_keeps_integer_valued_inputs():
 def test_planted_instance_rejects_bad_extra_degree(extra_degree):
     with pytest.raises(LpInputError, match="extra_degree"):
         planted_instance(5, 1, extra_degree=extra_degree)
+
+
+@pytest.mark.parametrize("excess, ok", [(5e-7, True), (2e-6, False)])
+def test_policy_reads_the_secretary_rows(excess, ok):
+    # row 2 is 2 x_2 + x_1 <= 1: only its prefix sum goes over by `excess`
+    x = np.array([0.5, (0.5 + excess) / 2, 0.0])
+    if ok:
+        assert secretary_policy_from_lp(x).n == 3
+    else:
+        with pytest.raises(LpInputError, match="not feasible"):
+            secretary_policy_from_lp(x)

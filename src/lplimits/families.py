@@ -27,10 +27,10 @@ LIMIT_TARGETS = {
 
 # Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
-# (numpy 2.4, OpenBLAS), one solve per process, two runs each: toy 21.5-23.5 s
-# (4094 pivots, 564 MB peak RSS), balance 8.3-10.4 s (2047 pivots), ranking
-# 9.4-11.0 s (2048 pivots), secretary 6.6-7.3 s (1295 pivots; 2801 pivots
-# under Bland's entering rule alone).
+# (numpy 2.4, OpenBLAS), one build, solve and certify per process, two runs
+# each: toy 20.3-21.0 s (4094 pivots, 381 MB peak RSS), balance 8.6-10.0 s
+# (2047 pivots, 146 MB), ranking 9.1-9.3 s (2048 pivots, 146 MB), secretary
+# 6.9 s (1295 pivots, 147 MB; 2801 pivots under Bland's entering rule alone).
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
 _BUILD_BLOCK = 32   # identity columns per matvec in _build; 1/64 of n = 2048

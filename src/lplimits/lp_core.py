@@ -18,6 +18,11 @@ form one run (toy: up to three) and the columns at most two, so an exchange
 is at most six plain slice updates.  That is far cheaper than a full rank-one
 update or a fancy-indexed scatter, and gives the same values.
 
+The tableau is never copied, and it is dropped before the final re-solve
+from the m x m basis matrix.  So a solve's peak memory is the larger of the
+tableau (with one update block's temporary) and two m x m arrays (the basis
+matrix and LAPACK's copy of it), plus the LP's own rows.
+
 Two vectors carry all the per-row and per-column state.  The row-sign vector
 (+1 for ``<=``, -1 for ``>=``, 0 for ``=``) gives every row residual, dual
 sign check, slack column and starting basis.  The nonbasic-direction vector
@@ -296,10 +301,12 @@ def _blocks(idx: np.ndarray) -> list:
 class _Tableau:
     """Dense working tableau for one solve; not reused across solves.
 
-    ``T`` is the only m x N array: it starts as the constraint matrix with one
-    unit column per slack and artificial, and is updated in place by each
-    pivot.  The unit columns are remembered by their row and sign alone, so
-    the basis matrix can be rebuilt from ``lp.rows`` without a second copy.
+    ``T`` is the only m x N array, and it is never copied: it starts as the
+    constraint matrix with one unit column per slack and artificial, its
+    start rows are negated in place, and each pivot updates it in place.
+    The unit columns are remembered by their row and sign alone, so the
+    basis matrix can be rebuilt from ``lp.rows`` without a second copy, and
+    ``solution`` drops ``T`` before the m x m re-solve.
 
     Row i has a slack column (sign +1 or -1, from the row-sign vector) unless
     it is an equality, and an artificial column when the starting corner
@@ -347,7 +354,7 @@ class _Tableau:
         xB = np.where(art, np.abs(residual), sign * residual)
         # tableau rows = B^{-1} A with the initial diagonal +-1 basis
         flip = self.unit_sign[basis - n] < 0
-        T[flip] = -T[flip]
+        np.negative(T, out=T, where=flip[:, None])
 
         dirn = np.ones(N)
         if at_upper:
@@ -470,10 +477,12 @@ class _Tableau:
         At an optimum the basic values are re-solved from the basis matrix,
         which removes the drift of the in-place tableau updates, and the
         duals come from its transpose; B is built once by ``basis_matrix``,
-        not taken from ``T``.  Nonbasic slacks and artificials always sit at
-        zero, so only the structural columns enter the right-hand side.
+        not taken from ``T``, which is dropped first, so the tableau and B
+        are never held at once.  Nonbasic slacks and artificials always sit
+        at zero, so only the structural columns enter the right-hand side.
         Any other status keeps the tableau's basic values and zero duals.
         """
+        del self.T
         lp, n, basis = self.lp, self.n, self.basis
         z = np.where(self.dirn < 0, self.hi, self.lo)
         if status == "optimal":
@@ -494,12 +503,17 @@ def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
 
     Runs phase 1 only when the cheaper of the two bound corners is infeasible.
     Exceeding the iteration cap is reported as status ``iteration_limit``,
-    never silently.  ``certify`` reports the feasibility and duality gap of
-    an optimum.
+    never silently; ``max_iterations`` is an integer >= 0, or None for a cap
+    that grows with the LP's size.  ``certify`` reports the feasibility and
+    duality gap of an optimum.
     """
     tab = _Tableau(lp)
     if max_iterations is None:
         max_iterations = 50 * (tab.m + tab.N) + 5000
+    else:
+        max_iterations = _as_int(max_iterations, "max_iterations")
+        if max_iterations < 0:
+            raise LpInputError(f"max_iterations must be >= 0, got {max_iterations}")
 
     if tab.n_art:
         c1 = np.zeros(tab.N)

@@ -60,6 +60,8 @@ EDGES = {
     "SimInstance.arrivals": (lambda v: SimInstance(3, 1, ((v,),)), 3),
     "_block_rng.seed": (lambda v: _block_rng(v, 0).random(4), 3),
     "search_best.K": (lambda v: search_best(v, 1e-2, 1e-2), 2),
+    "solve.max_iterations": (
+        lambda v: solve(families.build_ranking(4), max_iterations=v), 3),
 }
 
 
@@ -119,6 +121,15 @@ def test_integer_edge_reads_integer_values_alike(edge):
     want = pickle.dumps(call(good))
     for value in (float(good), np.int64(good), str(good)):
         assert pickle.dumps(call(value)) == want, repr(value)
+
+
+@pytest.mark.parametrize("bad, message", [("x", "must be an integer"),
+                                          (2.5, "must be an integer"),
+                                          (-1, "must be >= 0")])
+def test_solve_refuses_a_bad_iteration_cap(bad, message):
+    # None keeps the default cap and 0 is a valid one
+    with pytest.raises(LpInputError, match=message):
+        solve(families.build_ranking(4), max_iterations=bad)
 
 
 @pytest.mark.parametrize("text", ["2.5", "3.0", ""])

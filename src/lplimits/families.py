@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import (FAMILY_KINDS, GE, LE, MAXIMIZE, MINIMIZE, DenseLp,
+from .lp_core import (FAMILY_KINDS, MAXIMIZE, MINIMIZE, DenseLp, LpHeader,
                       LpInputError, _as_int)
 
 # The limit every family's LP value converges to: 1/e or 1 - 1/e.
@@ -62,9 +62,8 @@ class FamilySpec:
         return FamilyLp(**_fields(self.kind, _check_size(self.size)))
 
 
-@dataclass(frozen=True)
-class FamilyLp:
-    """A family LP that keeps every field of its ``DenseLp`` but ``rows``.
+class FamilyLp(LpHeader):
+    """A family LP: the header of its ``DenseLp``, and no ``rows``.
 
     ``matvec`` and ``rmatvec`` give ``rows @ x`` and ``rows.T @ y`` from one
     or two prefix sums in O(n), so ``check_feasibility`` and ``certify``
@@ -74,21 +73,11 @@ class FamilyLp:
     s_i is x_1 + ... + x_i and r_j is y_j + ... + y_n.
     """
 
-    sense: str
-    objective: np.ndarray
-    relations: tuple
-    rhs: np.ndarray
-    var_lower: np.ndarray
-    var_upper: np.ndarray
-    family_tag: str
-
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
-
-    @property
-    def n_rows(self) -> int:
-        return self.rhs.size
+    def __post_init__(self):
+        super().__post_init__()
+        n, kind = self.n_vars, self.family_tag
+        if kind is None or self.n_rows != (2 * n - 1 if kind == "toy" else n):
+            raise LpInputError(f"bad FamilyLp: tag {kind!r}, {self.n_rows} rows on {n} variables")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         n, kind = self.n_vars, self.family_tag
@@ -130,22 +119,22 @@ def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> int:
 
 
 def _fields(kind: str, n: int) -> dict:
-    """Every field of the size-n family LP but its rows."""
-    index = np.arange(1, n + 1)
+    """Every field of the size-n family LP but its rows: the LP's header."""
     if kind == "toy":
         sense, objective = MINIMIZE, np.full(n, 1.0 / n)
-        relations = (GE,) * (2 * n - 1)
+        sign = np.full(2 * n - 1, -1.0)
         rhs = np.concatenate([np.ones(n), np.zeros(n - 1)])
     elif kind == "balance":
+        index = np.arange(1, n + 1)
         sense, objective = MAXIMIZE, 1.0 - index / n
-        relations, rhs = (LE,) * n, index / n
+        sign, rhs = np.ones(n), index / n
     elif kind == "ranking":
         sense, objective = MINIMIZE, np.full(n, 1.0 / n)
-        relations, rhs = (GE,) * n, np.ones(n)
+        sign, rhs = np.full(n, -1.0), np.ones(n)
     else:  # secretary
-        sense, objective = MAXIMIZE, index / n
-        relations, rhs = (LE,) * n, np.ones(n)
-    return dict(sense=sense, objective=objective, relations=relations, rhs=rhs,
+        sense, objective = MAXIMIZE, np.arange(1, n + 1) / n
+        sign, rhs = np.ones(n), np.ones(n)
+    return dict(sense=sense, objective=objective, sign=sign, rhs=rhs,
                 var_lower=np.zeros(n), var_upper=np.ones(n), family_tag=kind)
 
 

@@ -23,12 +23,13 @@ from the m x m basis matrix.  So a solve's peak memory is the larger of the
 tableau (with one update block's temporary) and two m x m arrays (the basis
 matrix and LAPACK's copy of it), plus the LP's own rows.
 
-Two vectors carry all the per-row and per-column state.  The row-sign vector
-(+1 for ``<=``, -1 for ``>=``, 0 for ``=``) gives every row residual, dual
-sign check, slack column and starting basis.  The nonbasic-direction vector
-``dirn`` (+1 at the lower bound, -1 at the upper bound, 0 when basic or of
-zero span) gives the entering test and the nonbasic values.  Neither needs a
-special case for bounds-only LPs (m = 0).
+Two vectors carry all the per-row and per-column state.  The LP's row signs
+``lp.sign`` (+1 for ``<=``, -1 for ``>=``, 0 for ``=``), checked once when
+it is made, give every row residual, dual sign check, slack column and
+starting basis.  The nonbasic-direction vector ``dirn`` (+1 at the lower
+bound, -1 at the upper bound, 0 when basic or of zero span) gives the
+entering test and the nonbasic values.  Neither needs a special case for
+bounds-only LPs (m = 0).
 
 Row residuals and certificates read an LP's matrix only through its two
 products, ``lp.matvec(x)`` (``rows @ x``) and ``lp.rmatvec(y)``
@@ -90,19 +91,24 @@ def _as_tol(value) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class DenseLp:
-    """A finite LP in explicit row form.
+_SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
+_RELATION = {v: k for k, v in _SIGN.items()}
+
+
+@dataclass(frozen=True, kw_only=True)
+class LpHeader:
+    """Every field of a finite LP but its matrix A, checked once when made:
 
     minimize/maximize  objective @ x
-    subject to         rows[i] @ x  (relations[i])  rhs[i]
+    subject to         (A x)[i]  <= if sign[i] = +1, >= if -1, = if 0  rhs[i]
                        var_lower <= x <= var_upper   (all bounds finite)
+
+    A subclass gives A x and A.T y as ``matvec`` and ``rmatvec``.
     """
 
     sense: str
     objective: np.ndarray
-    rows: np.ndarray
-    relations: tuple
+    sign: np.ndarray
     rhs: np.ndarray
     var_lower: np.ndarray
     var_upper: np.ndarray
@@ -111,41 +117,26 @@ class DenseLp:
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise LpInputError(f"unknown sense {self.sense!r}")
-        obj = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = obj.size
-        if n < 1:
-            raise LpInputError("LP must have at least one variable")
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.size == 0:
-            rows = rows.reshape(0, n)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise LpInputError(f"rows must be (m, {n}), got {rows.shape}")
-        m = rows.shape[0]
-        rel = tuple(self.relations)
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float)) if m else np.zeros(0)
-        if len(rel) != m or rhs.size != m:
-            raise LpInputError("relations/rhs length must match row count")
-        for r in rel:
-            if r not in (LE, GE, EQ):
-                raise LpInputError(f"unknown relation {r!r}")
-        lo = np.atleast_1d(np.asarray(self.var_lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.var_upper, dtype=float))
-        if lo.size != n or hi.size != n:
-            raise LpInputError("bound vectors must have length n_vars")
-        for name, arr in (("objective", obj), ("rows", rows), ("rhs", rhs),
-                          ("var_lower", lo), ("var_upper", hi)):
-            if arr.size and not np.all(np.isfinite(arr)):
+        for name in ("objective", "sign", "rhs", "var_lower", "var_upper"):
+            try:
+                arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise LpInputError(f"{name} must be numeric") from None
+            if not np.isfinite(arr).all():
                 raise LpInputError(f"non-finite entries in {name}")
-        if np.any(lo > hi):
+            object.__setattr__(self, name, arr)
+        if self.n_vars < 1:
+            raise LpInputError("LP must have at least one variable")
+        if self.sign.size != self.rhs.size:
+            raise LpInputError("sign/rhs length must match")
+        if not np.array_equal(np.sign(self.sign), self.sign):  # only +1, -1, 0 pass
+            raise LpInputError("sign entries must be +1 (<=), -1 (>=) or 0 (=)")
+        if not self.var_lower.size == self.var_upper.size == self.n_vars:
+            raise LpInputError("bound vectors must have length n_vars")
+        if (self.var_lower > self.var_upper).any():
             raise LpInputError("var_lower must not exceed var_upper")
         if self.family_tag is not None and self.family_tag not in FAMILY_KINDS:
             raise LpInputError(f"unknown family_tag {self.family_tag!r}")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "var_lower", lo)
-        object.__setattr__(self, "var_upper", hi)
 
     @property
     def n_vars(self) -> int:
@@ -153,7 +144,29 @@ class DenseLp:
 
     @property
     def n_rows(self) -> int:
-        return self.rows.shape[0]
+        return self.rhs.size
+
+    @property
+    def relations(self) -> tuple:
+        """The row relations as text (``<=``, ``>=`` or ``=``), from ``sign``."""
+        return tuple(_RELATION[s] for s in self.sign.tolist())
+
+
+@dataclass(frozen=True, kw_only=True)
+class DenseLp(LpHeader):
+    """A finite LP in explicit row form: the header and its m x n ``rows``."""
+
+    rows: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        m, n = self.n_rows, self.n_vars
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.shape != (m, n):
+            raise LpInputError(f"rows must be (m, {n}) with m = {m}, got {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise LpInputError("non-finite entries in rows")
+        object.__setattr__(self, "rows", rows)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """rows @ x"""
@@ -195,25 +208,22 @@ class CertificateReport:
     passed: bool
 
 
-def _row_signs(relations) -> np.ndarray:
-    """+1 for each ``<=`` row, -1 for each ``>=`` row, 0 for each ``=`` row."""
-    rel = np.asarray(relations, dtype=str)
-    return np.where(rel == LE, 1.0, np.where(rel == GE, -1.0, 0.0))
-
-
-def _row_residuals(lp: DenseLp, sign: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _row_residuals(lp: LpHeader, x: np.ndarray) -> np.ndarray:
     """Amount by which each row relation is violated at x (0 when satisfied)."""
     r = lp.matvec(x) - lp.rhs
-    return np.where(sign == 0, np.abs(r), np.maximum(sign * r, 0.0))
+    res = np.maximum(lp.sign * r, 0.0)
+    eq = lp.sign == 0
+    res[eq] = np.abs(r[eq])
+    return res
 
 
-def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityReport:
+def check_feasibility(lp: LpHeader, x, tol: float = FEAS_TOL) -> FeasibilityReport:
     """Exact residual report for a candidate point.
 
     Row residual is the amount by which the row relation is violated (0 when
     satisfied); bound residual likewise.  A zero report means x is feasible.
     Non-finite x is rejected: it has no meaningful residual; so is a tol
-    that is not finite and >= 0.  lp is a DenseLp or a FamilyLp.
+    that is not finite and >= 0.
     """
     tol = _as_tol(tol)
     x = np.asarray(x, dtype=float)
@@ -221,7 +231,7 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
         raise LpInputError(f"x must have shape ({lp.n_vars},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise LpInputError("x has non-finite entries")
-    res = _row_residuals(lp, _row_signs(lp.relations), x)
+    res = _row_residuals(lp, x)
     worst = int(np.argmax(res)) if lp.n_rows else -1
     row_viol = float(np.max(res, initial=0.0))
     bound_viol = float(max(np.max(lp.var_lower - x, initial=0.0),
@@ -230,7 +240,7 @@ def check_feasibility(lp: DenseLp, x, tol: float = FEAS_TOL) -> FeasibilityRepor
                              worst_row=worst, tol=tol)
 
 
-def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:
+def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:
     """Independent optimality certificate from strong duality.
 
     Recomputes primal feasibility, dual sign feasibility, the complementary
@@ -241,7 +251,6 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
     The duals are in the caller's sense: for maximization, binding <= rows
     carry nonnegative multipliers (shadow prices), and symmetrically for
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
-    lp is a DenseLp or a FamilyLp.
     """
     tol = _as_tol(tol)
     if sol.status != "optimal":
@@ -249,6 +258,8 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
     x, y = sol.x, np.asarray(sol.dual, dtype=float)
     if y.shape != (lp.n_rows,):
         raise LpInputError(f"dual must have shape ({lp.n_rows},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise LpInputError("dual has non-finite entries")
     feas = check_feasibility(lp, x, tol)
     primal_obj = float(lp.objective @ x)
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
@@ -261,8 +272,7 @@ def certify(lp: DenseLp, sol: LpSolution, tol: float = CERT_TOL) -> CertificateR
     # sign feasibility of row multipliers: internal-min <= rows carry y <= 0,
     # >= rows y >= 0, so sign * y_int must not be positive (the outer max
     # turns a -0.0 from an equality row into 0.0)
-    dual_infeas = max(0.0, float(np.max(_row_signs(lp.relations) * (sgn * y),
-                                        initial=0.0)))
+    dual_infeas = max(0.0, float(np.max(lp.sign * (sgn * y), initial=0.0)))
     comp_rows = np.abs(y * (lp.rhs - lp.matvec(x)))
     comp_bounds = np.maximum(pos * np.abs(x - lp.var_lower),
                              neg * np.abs(lp.var_upper - x))
@@ -320,20 +330,19 @@ class _Tableau:
         self.lp = lp
         n, m = lp.n_vars, lp.n_rows
         self.sgn = 1.0 if lp.sense == MINIMIZE else -1.0
-        sign = _row_signs(lp.relations)
 
         # Choose the all-lower or all-upper starting corner, whichever leaves
         # fewer rows needing an artificial variable (ties prefer lower).
-        bad_lo = _row_residuals(lp, sign, lp.var_lower) > FEAS_TOL
-        bad_hi = _row_residuals(lp, sign, lp.var_upper) > FEAS_TOL
+        bad_lo = _row_residuals(lp, lp.var_lower) > FEAS_TOL
+        bad_hi = _row_residuals(lp, lp.var_upper) > FEAS_TOL
         at_upper = np.count_nonzero(bad_hi) < np.count_nonzero(bad_lo)
         x0, bad = (lp.var_upper, bad_hi) if at_upper else (lp.var_lower, bad_lo)
         residual = lp.rhs - lp.matvec(x0)
 
         # Equality rows always need a basic artificial (they have no slack),
         # feasible-at-start ones simply carry it at value ~0.
-        slack_rows = np.flatnonzero(sign)
-        art = bad | (sign == 0)
+        slack_rows = np.flatnonzero(lp.sign)
+        art = bad | (lp.sign == 0)
         art_rows = np.flatnonzero(art)
         n_slack, n_art = slack_rows.size, art_rows.size
         N = n + n_slack + n_art
@@ -343,7 +352,7 @@ class _Tableau:
         # column n + k is the unit vector unit_sign[k] * e_{unit_row[k]}
         self.unit_row = np.concatenate([slack_rows, art_rows])
         self.unit_sign = np.concatenate(
-            [sign[slack_rows], np.where(residual[art_rows] >= 0, 1.0, -1.0)])
+            [lp.sign[slack_rows], np.where(residual[art_rows] >= 0, 1.0, -1.0)])
         T = np.zeros((m, N))
         T[:, :n] = lp.rows
         T[self.unit_row, n + np.arange(n_slack + n_art)] = self.unit_sign
@@ -351,7 +360,7 @@ class _Tableau:
         basis = np.empty(m, dtype=int)
         basis[slack_rows] = n + np.arange(n_slack)
         basis[art_rows] = n + n_slack + np.arange(n_art)
-        xB = np.where(art, np.abs(residual), sign * residual)
+        xB = np.where(art, np.abs(residual), lp.sign * residual)
         # tableau rows = B^{-1} A with the initial diagonal +-1 basis
         flip = self.unit_sign[basis - n] < 0
         np.negative(T, out=T, where=flip[:, None])
@@ -541,9 +550,9 @@ def dump_lp(lp: DenseLp, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{lp.sense} {lp.n_vars} {lp.n_rows}\n")
         fh.write(" ".join(repr(float(v)) for v in lp.objective) + "\n")
-        for i in range(lp.n_rows):
-            coeffs = " ".join(repr(float(v)) for v in lp.rows[i])
-            fh.write(f"{coeffs} {lp.relations[i]} {float(lp.rhs[i])!r}\n")
+        for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
+            coeffs = " ".join(repr(float(v)) for v in row)
+            fh.write(f"{coeffs} {rel} {float(b)!r}\n")
         fh.write(" ".join(repr(float(v)) for v in lp.var_lower) + "\n")
         fh.write(" ".join(repr(float(v)) for v in lp.var_upper) + "\n")
 
@@ -559,19 +568,21 @@ def load_lp(path, family_tag: str | None = None) -> DenseLp:
             raise ValueError(f"header declares {n} variables and {m} rows, "
                              f"so {m + 4} lines, but the file has {len(lines)}")
         objective = [float(v) for v in lines[1]]
-        rows, relations, rhs = [], [], []
+        rows, sign, rhs = [], [], []
         for parts in lines[2:2 + m]:
             if len(parts) != n + 2:
                 raise ValueError(f"a row needs {n} coefficients, a relation and "
                                  f"a right-hand side, got {len(parts)} fields")
+            if parts[n] not in _SIGN:
+                raise ValueError(f"unknown relation {parts[n]!r}")
             rows.append([float(v) for v in parts[:n]])
-            relations.append(parts[n])
+            sign.append(_SIGN[parts[n]])
             rhs.append(float(parts[n + 1]))
         lo = [float(v) for v in lines[2 + m]]
         hi = [float(v) for v in lines[3 + m]]
     except (IndexError, ValueError) as exc:
         raise LpInputError(f"malformed LP dump {path}: {exc}") from None
     return DenseLp(sense=sense, objective=np.array(objective),
-                   rows=np.array(rows).reshape(m, n), relations=tuple(relations),
+                   rows=np.array(rows).reshape(m, n), sign=np.array(sign),
                    rhs=np.array(rhs), var_lower=np.array(lo), var_upper=np.array(hi),
                    family_tag=family_tag)

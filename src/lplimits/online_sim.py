@@ -262,10 +262,9 @@ def secretary_policy_from_lp(x) -> PolicyTable:
     i x_i + sum_{l<i} x_l <= 1 and bounds 0 <= x <= 1 to within 1e-6.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
-        raise LpInputError("x must be a non-empty vector of finite values")
     n = x.size
-    # the secretary rows are FamilyLp's prefix sums, without operator()'s cap
+    # the secretary rows are FamilyLp's prefix sums, without operator()'s cap;
+    # FamilyLp refuses n = 0, and check_feasibility any x but n finite values
     lp = families.FamilyLp(**families._fields("secretary", n))
     report = check_feasibility(lp, x, 1e-6)
     if not report.ok:

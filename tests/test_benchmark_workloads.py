@@ -35,7 +35,7 @@ def test_workload_passes_its_checks(name):
     assert run.failures == []
 
 
-@pytest.mark.parametrize("name", ["lp_small", "continuum"])
+@pytest.mark.parametrize("name", ["lp_small", "continuum", "lp_sweep"])
 def test_traced_workload_passes_its_checks(name):
     with tracer.Tracer(metrics.annotate) as tr:
         run = workloads.Pass(tr)

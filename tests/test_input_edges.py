@@ -5,6 +5,7 @@ Every float parameter goes through ``lp_core._as_float``: a non-number,
 text included, is refused with LpInputError.  A tol also goes through
 ``lp_core._as_tol``, which refuses a NaN, infinite or negative value."""
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ def test_solve_refuses_a_bad_iteration_cap(bad, message):
     # None keeps the default cap and 0 is a valid one
     with pytest.raises(LpInputError, match=message):
         solve(families.build_ranking(4), max_iterations=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_refuses_a_non_finite_dual(bad):
+    # refused like a non-finite x, not reported as a failed certificate
+    # whose gap is nan
+    sol = solve(_RANKING3)
+    for lp in (_RANKING3, FamilySpec("ranking", 3).operator()):
+        with pytest.raises(LpInputError, match="dual has non-finite entries"):
+            certify(lp, replace(sol, dual=np.full(3, bad)))
 
 
 @pytest.mark.parametrize("text", ["2.5", "3.0", ""])

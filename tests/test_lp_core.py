@@ -24,11 +24,14 @@ from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilySpec, best_t
 from lplimits.lp_core import _BLOCK_GAP, EQ, GE, LE, MAXIMIZE, MINIMIZE, _blocks
 
 
+SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
+
+
 def box_lp(sense, c, rows, rels, rhs, lo=None, hi=None):
     c = np.asarray(c, float)
     n = c.size
     return DenseLp(sense=sense, objective=c, rows=np.asarray(rows, float),
-                   relations=tuple(rels), rhs=np.asarray(rhs, float),
+                   sign=[SIGN[r] for r in rels], rhs=np.asarray(rhs, float),
                    var_lower=np.zeros(n) if lo is None else np.asarray(lo, float),
                    var_upper=np.ones(n) if hi is None else np.asarray(hi, float))
 
@@ -138,7 +141,7 @@ def test_equality_rows():
 
 def test_bounds_only_lp():
     lp = DenseLp(sense=MAXIMIZE, objective=np.array([2.0, -1.0]),
-                 rows=np.zeros((0, 2)), relations=(), rhs=np.zeros(0),
+                 rows=np.zeros((0, 2)), sign=(), rhs=np.zeros(0),
                  var_lower=np.array([0.0, 0.0]), var_upper=np.array([1.0, 3.0]))
     sol = solve(lp)
     assert sol.x == pytest.approx([1.0, 0.0])
@@ -148,7 +151,7 @@ def test_bounds_only_lp():
 def test_rejects_bad_inputs():
     with pytest.raises(LpInputError):
         DenseLp(sense=MINIMIZE, objective=np.zeros(0), rows=np.zeros((0, 0)),
-                relations=(), rhs=np.zeros(0), var_lower=np.zeros(0),
+                sign=(), rhs=np.zeros(0), var_lower=np.zeros(0),
                 var_upper=np.zeros(0))
     with pytest.raises(LpInputError):
         box_lp(MINIMIZE, [np.nan], [[1.0]], [LE], [1.0])
@@ -162,10 +165,14 @@ def test_rejects_bad_inputs():
 
 @pytest.mark.parametrize("field, value, match", [
     ("rows", np.ones((1, 3)), r"rows must be \(m, 2\)"),
-    ("rhs", np.ones(2), "relations/rhs length"),
-    ("relations", ("<",), "unknown relation"),
+    ("rhs", np.ones(2), "sign/rhs length"),
+    ("sign", (2.0,), "sign entries must be"),
     ("var_upper", np.ones(3), "bound vectors"),
     ("family_tag", "nope", "unknown family_tag"),
+    # a zero-row matrix does not drop the rhs: n_rows comes from rhs
+    ("rows", np.zeros((0, 2)), r"m = 1, got \(0, 2\)"),
+    ("sign", (GE,), "sign must be numeric"),
+    ("sign", (np.nan,), "non-finite entries in sign"),
 ])
 def test_dense_lp_rejects_malformed(field, value, match):
     lp = box_lp(MINIMIZE, [1.0, 1.0], [[1.0, 1.0]], [GE], [1.0])
@@ -186,7 +193,7 @@ def test_row_scaling_leaves_optimum(build, n):
     lp = build(n)
     lam = 3.7
     scaled = DenseLp(sense=lp.sense, objective=lp.objective,
-                     rows=lam * lp.rows, relations=lp.relations,
+                     rows=lam * lp.rows, sign=lp.sign,
                      rhs=lam * lp.rhs, var_lower=lp.var_lower,
                      var_upper=lp.var_upper)
     a, b = solve(lp), solve(scaled)
@@ -244,7 +251,7 @@ def mixed_lp(sense, c, rows, rels, lo, span, rhs=None, anchor=None, margin=None)
     """A DenseLp; without rhs, each row holds at lo + anchor * span with the
     given margin (pushed to the feasible side, none on equality rows)."""
     if rhs is None:
-        sign = np.array([{LE: 1.0, GE: -1.0, EQ: 0.0}[r] for r in rels])
+        sign = np.array([SIGN[r] for r in rels])
         rhs = rows @ (lo + anchor * span) + sign * margin
     return box_lp(sense, c, rows, rels, rhs, lo, lo + span)
 
@@ -388,6 +395,8 @@ def test_agrees_with_highs_at_family_scale(kind):
     pytest.param("minimize two 1\n1.0 1.0\n1.0 1.0 >= 1.0\n0.0 0.0\n1.0 1.0\n",
                  id="bad-header"),
     pytest.param("minimize 2\n1.0 1.0\n0.0 0.0\n1.0 1.0\n", id="short-header"),
+    pytest.param("minimize 2 1\n1.0 1.0\n1.0 1.0 < 1.0\n0.0 0.0\n1.0 1.0\n",
+                 id="unknown-relation"),
 ])
 def test_load_lp_rejects_malformed_dump(tmp_path, text):
     path = tmp_path / "bad.lp"
@@ -421,11 +430,34 @@ MIXED_PIVOTS = [
 ]
 
 
+# sha256 over x.tobytes() and dual.tobytes() of each of the 200, in order;
+# like SOLUTION_BYTES below, it belongs to one numpy/LAPACK build
+MIXED_BYTES = "9d900ba31c63bdc35a3c2b68624c89d11394a18735f17aac1ce4e37bb77d6ad3"
+
+
 def test_mixed_pivots_pinned():
     rng = np.random.default_rng(4096)
     sols = [solve(random_mixed_lp(rng)) for _ in range(200)]
     assert "".join(s.status[0] for s in sols) == MIXED_STATUS
     assert [s.iterations for s in sols] == MIXED_PIVOTS
+    digest = hashlib.sha256()
+    for s in sols:
+        digest.update(s.x.tobytes())
+        digest.update(s.dual.tobytes())
+    assert digest.hexdigest() == MIXED_BYTES
+
+
+def test_mixed_dump_bytes_pinned(tmp_path):
+    # the 117th of the mixed LPs: one variable, 14 rows of all three relations
+    rng = np.random.default_rng(4096)
+    lp = [random_mixed_lp(rng) for _ in range(117)][-1]
+    assert set(lp.relations) == {LE, GE, EQ}
+    path = tmp_path / "mixed.lp"
+    dump_lp(lp, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "eebce6ab4b4ba9ee0581fa52f3f502878dfbe4458d0e25c96e12b3ed1fa55b8e"
+    lp2 = load_lp(path)
+    assert lp2.sign.tobytes() == lp.sign.tobytes()
 
 
 # Iterations and sha256 of x.tobytes() and dual.tobytes() of family optima.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lplimits import FamilySpec, LpInputError, certify, check_feasibility, solve
-from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilyLp
+from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilyLp, _fields
 from lplimits.variational import PROFILES, discretize_profile
 
 SIZES = [1, 2, 3, 7, 64, 513, 2048]
@@ -58,6 +58,7 @@ def test_operator_has_the_dense_fields(kind, n):
     assert isinstance(op, FamilyLp)
     assert (op.n_vars, op.n_rows) == (dense.n_vars, dense.n_rows)
     assert {f.name for f in fields(op)} == {f.name for f in fields(dense)} - {"rows"}
+    assert op.relations == dense.relations
     for name, value in asdict(op).items():
         if isinstance(value, np.ndarray):
             assert value.tobytes() == getattr(dense, name).tobytes(), name
@@ -85,6 +86,20 @@ def test_feasibility_through_operator_matches_dense(kind):
     for x in _points(kind, 64, 64):
         a, b = check_feasibility(dense, x), check_feasibility(op, x)
         assert abs(a.max_violation - b.max_violation) <= 1e-12
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"family_tag": "bogus"}, "unknown family_tag 'bogus'", id="bogus-tag"),
+    pytest.param({"family_tag": None}, "bad FamilyLp: tag None, 5 rows", id="no-tag"),
+    pytest.param({"sign": np.full(4, -1.0)}, "sign/rhs length", id="short-sign"),
+    pytest.param({"sign": np.full(6, -1.0), "rhs": np.ones(6)},
+                 "bad FamilyLp: tag 'ranking', 6 rows on 5 variables", id="extra-row"),
+])
+def test_operator_rejects_a_malformed_header(change, message):
+    # refused when made: not served another family's products, nor left to
+    # fail in check_feasibility with numpy's broadcast error
+    with pytest.raises(LpInputError, match=message):
+        FamilyLp(**{**_fields("ranking", 5), **change})
 
 
 def test_operator_rejects_bad_points():

@@ -9,27 +9,30 @@ lowest improving index (Bland's rule); the leaving variable is chosen by
 Bland's rule.  Every solve is deterministic, and none can cycle: a cycle
 consists only of degenerate steps, so each of its steps would be a Bland step.
 
+No LP here has an improving ray: every structural bound is finite, and a
+slack moves only when the structurals do (``_Tableau.run`` has the argument).
+So ``solve`` ends ``optimal``, ``infeasible`` or ``iteration_limit``.
+
 The working tableau is a single dense m x N array updated in place.  A basis
 exchange touches only the rows where the pivot column is nonzero and the
 columns where the pivot row is nonzero, as contiguous slice blocks: each run
 of such rows times each run of such columns, with runs at most
-``_BLOCK_GAP`` indices apart merged into one.  On the family LPs the rows
-form one run (toy: up to three) and the columns at most two, so an exchange
-is at most six plain slice updates.  That is far cheaper than a full rank-one
-update or a fancy-indexed scatter, and gives the same values.
+``_BLOCK_GAP`` indices apart merged into one.  On the family LPs that is at
+most six plain slice updates, far cheaper than a full rank-one update, and
+each value (up to the sign of a zero) and pivot choice is the same: every
+entry left out, or merged in across a gap, has only a product with a zero
+factor subtracted.
 
 The tableau is never copied, and it is dropped before the final re-solve
 from the m x m basis matrix.  So a solve's peak memory is the larger of the
 tableau (with one update block's temporary) and two m x m arrays (the basis
 matrix and LAPACK's copy of it), plus the LP's own rows.
 
-Two vectors carry all the per-row and per-column state.  The LP's row signs
-``lp.sign`` (+1 for ``<=``, -1 for ``>=``, 0 for ``=``), checked once when
-it is made, give every row residual, dual sign check, slack column and
-starting basis.  The nonbasic-direction vector ``dirn`` (+1 at the lower
-bound, -1 at the upper bound, 0 when basic or of zero span) gives the
-entering test and the nonbasic values.  Neither needs a special case for
-bounds-only LPs (m = 0).
+Two vectors carry all the per-row and per-column state.  The row signs
+``lp.sign`` (+1 for ``<=``, -1 for ``>=``, 0 for ``=``) give every row
+residual, dual sign check, slack column and starting basis.  ``dirn`` (+1 at
+the lower bound, -1 at the upper, 0 when basic or of zero span) gives the
+entering test and the nonbasic values.  Neither special-cases m = 0.
 
 Row residuals and certificates read an LP's matrix only through its two
 products, ``lp.matvec(x)`` (``rows @ x``) and ``lp.rmatvec(y)``
@@ -179,7 +182,7 @@ class DenseLp(LpHeader):
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str                 # optimal | infeasible | unbounded | iteration_limit
+    status: str                 # optimal | infeasible | iteration_limit
     x: np.ndarray
     objective_value: float
     dual: np.ndarray            # one multiplier per row, caller's sense; 0 unless optimal
@@ -321,9 +324,7 @@ class _Tableau:
     Row i has a slack column (sign +1 or -1, from the row-sign vector) unless
     it is an equality, and an artificial column when the starting corner
     violates it or it is an equality; the artificial, or else the slack, is
-    its starting basic variable.  ``dirn[j]`` is +1 for a nonbasic variable
-    at its lower bound, -1 at its upper bound, and 0 for a basic variable or
-    one whose bounds coincide, so ``dirn * d < 0`` marks improving columns.
+    its starting basic variable.
     """
 
     def __init__(self, lp: DenseLp):
@@ -389,11 +390,6 @@ class _Tableau:
         B[self.unit_row[u], k] = self.unit_sign[u]
         return B
 
-    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        d = c - c[self.basis] @ self.T
-        d[self.basis] = 0.0
-        return d
-
     def run(self, c: np.ndarray, max_iterations: int) -> str:
         """Primal simplex until optimal for objective c.
 
@@ -409,17 +405,19 @@ class _Tableau:
         bound flip negates ``dirn[q]``.  A basis exchange sets ``dirn[q]`` to
         0 and the leaving variable's to the bound it stops at.
 
-        A basis exchange updates ``T`` in place by slice blocks
-        ``T[a:b, c0:c1]``, one per pair of a ``_blocks`` run of the rows
-        where the pivot column is nonzero and one of the columns where the
-        pivot row is nonzero.  Every entry outside the blocks, and every
-        entry merged into one across a gap, has only a product with a zero
-        factor subtracted, so each value (up to the sign of a zero) and each
-        pivot choice matches a full rank-one update.
+        No step is infinite, as no improving ray exists.  Only slacks and
+        artificials have an infinite bound.  Phase 1 minimizes the sum of the
+        artificials, which is never below 0.  In phase 2 they are pinned to
+        [0, 0], so a ray would raise only slacks while every structural stays
+        fixed; but each row's slack is fixed by the structurals.  So when no
+        eligible row stops an infinite step, the ``PIVOT_TOL`` filter dropped
+        the row that bounds it, and every nonzero row is tested.  If none
+        stops it either, ``d[q]`` is rounding error, and q does not enter.
         """
         T, lo, hi = self.T, self.lo, self.hi
         basis, dirn, xB = self.basis, self.dirn, self.xB
-        d = self.reduced_costs(c)
+        d = c - c[basis] @ T
+        d[basis] = 0.0
         span = hi - lo
         dirn[span == 0.0] = 0.0
         degenerate = False  # was the last step a degenerate basis exchange?
@@ -437,21 +435,24 @@ class _Tableau:
             delta = -direction * col  # rate of change of basic values
             t_own = span[q]
 
-            # ratio test over the eligible nonzero rows only: each stops
-            # where its basic variable reaches the bound it moves toward
+            # ratio test over the eligible nonzero rows (or all of them, see
+            # above): each stops where its basic variable meets its bound
             rows = col.nonzero()[0]
-            de = delta[rows]
-            mag = np.abs(de)
-            eligible = mag > PIVOT_TOL * min(1.0, mag.max(initial=0.0))
-            er, de = rows[eligible], de[eligible]
-            stop = np.where(de < 0, lo[basis[er]], hi[basis[er]])
-            limits = np.maximum((stop - xB[er]) / de, 0.0)
-            t_rows = float(limits.min(initial=np.inf))
+            mag = np.abs(delta[rows])
+            eligible = rows[mag > PIVOT_TOL * min(1.0, mag.max(initial=0.0))]
+            for er in (eligible, rows):
+                de = delta[er]
+                stop = np.where(de < 0, lo[basis[er]], hi[basis[er]])
+                limits = np.maximum((stop - xB[er]) / de, 0.0)
+                t_rows = float(limits.min(initial=np.inf))
+                if t_rows < np.inf or t_own < np.inf:
+                    break
+            else:  # no row stops q (see above)
+                d[q] = 0.0
+                continue
 
             self.iterations += 1
             if t_own <= t_rows:
-                if not np.isfinite(t_own):
-                    return "unbounded"
                 # bound flip: no basis change, reduced costs unchanged
                 xB += delta * t_own
                 dirn[q] = -direction
@@ -483,13 +484,12 @@ class _Tableau:
     def solution(self, status: str) -> LpSolution:
         """The solution at the current basis, reported with ``status``.
 
-        At an optimum the basic values are re-solved from the basis matrix,
-        which removes the drift of the in-place tableau updates, and the
-        duals come from its transpose; B is built once by ``basis_matrix``,
-        not taken from ``T``, which is dropped first, so the tableau and B
-        are never held at once.  Nonbasic slacks and artificials always sit
-        at zero, so only the structural columns enter the right-hand side.
-        Any other status keeps the tableau's basic values and zero duals.
+        At an optimum the basic values are re-solved from the basis matrix B,
+        removing the drift of the in-place updates, and the duals come from
+        B.T; ``T`` is dropped first, so the two are never held at once.  Only
+        structurals enter the right-hand side, as nonbasic slacks and
+        artificials sit at zero.  Any other status keeps the tableau's basic
+        values and zero duals.
         """
         del self.T
         lp, n, basis = self.lp, self.n, self.basis
@@ -529,7 +529,7 @@ def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
         c1[tab.n + tab.n_slack:] = 1.0
         status = tab.run(c1, max_iterations)
         if status != "optimal":
-            return tab.solution(status if status == "iteration_limit" else "infeasible")
+            return tab.solution(status)
         art_level = float(sum(tab.xB[tab.basis >= tab.n + tab.n_slack]))
         if art_level > FEAS_TOL * max(1.0, np.abs(lp.rhs).max(initial=1.0)):
             return tab.solution("infeasible")

@@ -106,7 +106,10 @@ class PolicyTable:
 
     def __post_init__(self):
         n = _as_int(self.n, "n")
-        p = np.asarray(self.accept_prob, dtype=float)
+        try:
+            p = np.asarray(self.accept_prob, dtype=float)
+        except (TypeError, ValueError):
+            raise LpInputError("accept_prob must be numeric") from None
         if p.ndim != 1 or p.size < 1 or p.size != n:
             raise LpInputError(
                 f"accept_prob must be a vector of n = {n} >= 1 entries")

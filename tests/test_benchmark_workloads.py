@@ -1,10 +1,11 @@
-"""The benchmark's workloads, run once each at small sizes.
+"""The benchmark's workloads, run once each at small sizes, and its self-test.
 
 perfbench/ calls the package through module attributes and reads result
 fields in `metrics.annotate`; a rename in src/ that breaks either fails here
 rather than in a benchmark run.  perfbench/ is only imported, never changed.
 """
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 # perfbench/ is a directory of scripts that import each other by bare name,
 # not a package or a dependency: put it on the path and load its modules
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 metrics, tracer, workloads = (importlib.import_module(name)
                               for name in ("metrics", "tracer", "workloads"))
 
@@ -43,3 +45,12 @@ def test_traced_workload_passes_its_checks(name):
     assert run.attempted > 0
     assert run.failures == []
     assert not any(span.attrs.get("raised") for span in tr.spans)
+
+
+def test_benchmark_selftest_passes():
+    # perfbench/selftest.py injects faults (it patches lp_core._Tableau,
+    # among others) and checks that the benchmark's gates catch each one;
+    # it loads src/ from its working directory, so it runs from the root
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lplimits import certify, lp_core, solve, variational
+from lplimits import certify, interval_opt, lp_core, solve, variational
 from lplimits.cli import SEED_ENV_VAR, main
 from lplimits.families import FAMILY_KINDS, FamilySpec
 
@@ -114,6 +114,18 @@ def test_ode_step_below_floor_is_json_error(capsys, monkeypatch):
     payload = strict_json(err)
     assert payload["type"] == "LpInputError"
     assert "cap" in payload["error"]
+
+
+@pytest.mark.parametrize("resolution", ["1e-7", "5e-324"])
+def test_interval_search_past_grid_cap_is_json_error(capsys, monkeypatch, resolution):
+    # numpy unreachable: the grid cap must fire before any allocation
+    monkeypatch.setattr(interval_opt, "np", None)
+    code, out, err = run_cli(capsys, "interval-search", "--k", "2",
+                             "--resolution", resolution)
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert "GRID_CAP" in payload["error"]
 
 
 @pytest.mark.parametrize("step", ["5e-324", "1e-309"])

@@ -12,6 +12,7 @@ import pytest
 
 from lplimits import (
     FamilySpec,
+    IntervalSequence,
     LpInputError,
     PolicyTable,
     SimInstance,
@@ -30,6 +31,7 @@ from lplimits import (
     solve,
     triangular_instance,
 )
+from lplimits.interval_opt import GRID_CAP
 from lplimits.online_sim import _block_rng, read_instance
 from lplimits.variational import SECRETARY_U
 
@@ -167,3 +169,33 @@ def test_read_instance_refuses_non_integer_fields(tmp_path, text):
     path.write_text(text)
     with pytest.raises(LpInputError, match="integer"):
         read_instance(path)
+
+
+@pytest.mark.parametrize("points", [("0.2", "0.9"), ("a", "b"), (None, 1.0),
+                                    (0.1, 0.2, [0.3], 0.4)])
+def test_interval_sequence_refuses_a_non_number(points):
+    # text is refused, not parsed, like every other float input
+    with pytest.raises(LpInputError, match="each point must be a real number"):
+        IntervalSequence(points)
+
+
+def test_interval_sequence_reads_real_numbers_alike():
+    want = IntervalSequence((0.25, 1.0))
+    for points in ((np.float64(0.25), 1), (np.float32(0.25), True)):
+        assert pickle.dumps(IntervalSequence(points)) == pickle.dumps(want)
+
+
+@pytest.mark.parametrize("accept_prob", [["x"], [None, "y"], [[0.5, 0.5], [0.5]]])
+def test_policy_table_refuses_non_numeric_probabilities(accept_prob):
+    with pytest.raises(LpInputError, match="accept_prob must be numeric"):
+        PolicyTable(n=len(accept_prob), accept_prob=accept_prob,
+                    reachable=[True] * len(accept_prob))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("resolution", [1e-7, 5e-324, 1 / (GRID_CAP + 1)])
+def test_search_best_refuses_a_grid_past_its_cap(K, resolution):
+    # refused before any m x m table is allocated: at 1e-7 the tables alone
+    # would take hundreds of terabytes
+    with pytest.raises(LpInputError, match=f"more than GRID_CAP = {GRID_CAP}"):
+        search_best(K, resolution, 1e-2)

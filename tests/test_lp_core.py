@@ -21,7 +21,7 @@ from lplimits import (
     solve,
 )
 from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilySpec, best_threshold
-from lplimits.lp_core import _BLOCK_GAP, EQ, GE, LE, MAXIMIZE, MINIMIZE, _blocks
+from lplimits.lp_core import _BLOCK_GAP, EQ, GE, LE, MAXIMIZE, MINIMIZE, _blocks, _Tableau
 
 
 SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
@@ -341,6 +341,51 @@ def test_badly_scaled_column_is_not_unbounded():
     ref, ref_value = highs(lp)
     assert ref.status == 0
     assert sol.objective_value == pytest.approx(ref_value, rel=1e-12)
+
+
+# LPs where no row that passes the PIVOT_TOL filter stops an infinite step,
+# so every nonzero row is tested.  phase-2: row 1's slack enters, raising x1
+# at 1e-10 per unit and row 0's surplus at 10; the filter drops x1's row,
+# whose upper bound ends the step.  phase-1: row 0's surplus enters, moving
+# x0 and x2 at 1.8e-11 and 1.8e-15 per unit and row 2's slack up at 0.91;
+# x0's row stops it at a step of 0, and phase 1 goes on to a feasible point.
+# Its optimum is x2 = 4.4e14 / 7e10.
+FILTERED_ROW_LPS = {
+    "phase-2": box_lp(MAXIMIZE, [-3.44253542, 41.90573515],
+                      [[-1e4, 1e11], [20.0, -1e10], [2e6, 0.0]], [GE, LE, LE],
+                      [0.0, -1000.0, 5000.0], hi=[1.0, 1e6]),
+    "phase-1": box_lp(MINIMIZE, [1.42, 0.68, 0.63],
+                      [[-5.5e10, 0.0, 0.07], [8.6e5, 0.0, -7e10],
+                       [5e10, 7.2e5, 310.0]],
+                      [GE, LE, LE], [440.0, -4.4e14, 2.2e6], hi=[1.0, 1.0, 1e4]),
+}
+
+
+@pytest.mark.parametrize("case", FILTERED_ROW_LPS)
+def test_filtered_out_bounding_row_still_limits_the_step(case):
+    lp = FILTERED_ROW_LPS[case]
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert certify(lp, sol).passed
+    ref, ref_value = highs(lp)
+    assert ref.status == 0
+    assert np.array_equal(sol.x, ref.x)
+    assert sol.objective_value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_column_that_no_row_stops_does_not_enter():
+    # Exact arithmetic never hands the simplex such a column (see
+    # _Tableau.run).  A cost on the surplus of x0 >= 0.5 makes one: its
+    # tableau column meets only row 0's artificial, which phase 1 lets grow
+    # without bound.  It must not enter: an infinite step would make xB inf
+    # or NaN.  Both bound corners violate a row, so the start is the lower
+    # one, and the columns are x0, x1, the two slacks and the artificial.
+    tab = _Tableau(box_lp(MINIMIZE, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],
+                          [GE, LE], [0.5, 0.5]))
+    assert tab.N == 5 and tab.basis.tolist() == [4, 3]
+    assert tab.run(np.array([0.0, 0.0, -1.0, 0.0, 0.0]), max_iterations=10) == "optimal"
+    assert tab.iterations == 0
+    assert np.array_equal(tab.xB, [0.5, 0.5])
 
 
 def test_dump_load_roundtrip(tmp_path):

@@ -11,7 +11,10 @@ consists only of degenerate steps, so each of its steps would be a Bland step.
 
 No LP here has an improving ray: every structural bound is finite, and a
 slack moves only when the structurals do (``_Tableau.run`` has the argument).
-So ``solve`` ends ``optimal``, ``infeasible`` or ``iteration_limit``.
+So ``solve`` ends ``optimal``, ``infeasible`` or ``iteration_limit``, each
+reported by its one ``return tab.solution(status)``; an optimum whose basis
+matrix is singular, which only a badly scaled LP reaches, raises
+``LpInputError`` there.
 
 The working tableau is a single dense m x N array updated in place.  A basis
 exchange touches only the rows where the pivot column is nonzero and the
@@ -38,6 +41,8 @@ Row residuals and certificates read an LP's matrix only through its two
 products, ``lp.matvec(x)`` (``rows @ x``) and ``lp.rmatvec(y)``
 (``rows.T @ y``).  So ``check_feasibility`` and ``certify`` also take a
 family's ``FamilyLp``, which gives both from prefix sums and has no rows.
+Each is formed once: ``solve`` takes one ``matvec`` per start corner and
+one for its final re-solve, and ``certify`` one of each.
 """
 from __future__ import annotations
 
@@ -164,7 +169,10 @@ class DenseLp(LpHeader):
     def __post_init__(self):
         super().__post_init__()
         m, n = self.n_rows, self.n_vars
-        rows = np.asarray(self.rows, dtype=float)
+        try:
+            rows = np.asarray(self.rows, dtype=float)
+        except (TypeError, ValueError):
+            raise LpInputError("rows must be numeric") from None
         if rows.shape != (m, n):
             raise LpInputError(f"rows must be (m, {n}) with m = {m}, got {rows.shape}")
         if not np.isfinite(rows).all():
@@ -211,9 +219,8 @@ class CertificateReport:
     passed: bool
 
 
-def _row_residuals(lp: LpHeader, x: np.ndarray) -> np.ndarray:
-    """Amount by which each row relation is violated at x (0 when satisfied)."""
-    r = lp.matvec(x) - lp.rhs
+def _row_residuals(lp: LpHeader, r: np.ndarray) -> np.ndarray:
+    """Amount by which each row relation is violated, from r = A x - b."""
     res = np.maximum(lp.sign * r, 0.0)
     eq = lp.sign == 0
     res[eq] = np.abs(r[eq])
@@ -228,28 +235,33 @@ def check_feasibility(lp: LpHeader, x, tol: float = FEAS_TOL) -> FeasibilityRepo
     Non-finite x is rejected: it has no meaningful residual; so is a tol
     that is not finite and >= 0.
     """
-    tol = _as_tol(tol)
+    return _feasibility(lp, x, _as_tol(tol))[0]
+
+
+def _feasibility(lp: LpHeader, x, tol: float) -> tuple[FeasibilityReport, np.ndarray]:
+    """``check_feasibility``'s report, and the residual r = A x - b it read."""
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.n_vars,):
         raise LpInputError(f"x must have shape ({lp.n_vars},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise LpInputError("x has non-finite entries")
-    res = _row_residuals(lp, x)
+    r = lp.matvec(x) - lp.rhs
+    res = _row_residuals(lp, r)
     worst = int(np.argmax(res)) if lp.n_rows else -1
     row_viol = float(np.max(res, initial=0.0))
     bound_viol = float(max(np.max(lp.var_lower - x, initial=0.0),
                            np.max(x - lp.var_upper, initial=0.0)))
     return FeasibilityReport(max_violation=max(row_viol, bound_viol),
-                             worst_row=worst, tol=tol)
+                             worst_row=worst, tol=tol), r
 
 
 def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> CertificateReport:
     """Independent optimality certificate from strong duality.
 
     Recomputes primal feasibility, dual sign feasibility, the complementary
-    slackness residual and |primal - dual| objective gap from scratch; the
-    certificate passes iff all are within tol scaled by (1 + |objective|);
-    tol must be finite and >= 0.
+    slackness residual and |primal - dual| objective gap from scratch, from
+    one ``lp.matvec`` and one ``lp.rmatvec``; the certificate passes iff all
+    are within tol scaled by (1 + |objective|); tol must be finite and >= 0.
 
     The duals are in the caller's sense: for maximization, binding <= rows
     carry nonnegative multipliers (shadow prices), and symmetrically for
@@ -263,7 +275,7 @@ def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> Certificate
         raise LpInputError(f"dual must have shape ({lp.n_rows},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise LpInputError("dual has non-finite entries")
-    feas = check_feasibility(lp, x, tol)
+    feas, r = _feasibility(lp, x, tol)
     primal_obj = float(lp.objective @ x)
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
     d_int = sgn * (lp.objective - lp.rmatvec(y))  # internal-min reduced costs
@@ -276,7 +288,7 @@ def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> Certificate
     # >= rows y >= 0, so sign * y_int must not be positive (the outer max
     # turns a -0.0 from an equality row into 0.0)
     dual_infeas = max(0.0, float(np.max(lp.sign * (sgn * y), initial=0.0)))
-    comp_rows = np.abs(y * (lp.rhs - lp.matvec(x)))
+    comp_rows = np.abs(y * r)
     comp_bounds = np.maximum(pos * np.abs(x - lp.var_lower),
                              neg * np.abs(lp.var_upper - x))
     comp = max(float(np.max(comp_rows, initial=0.0)),
@@ -334,11 +346,12 @@ class _Tableau:
 
         # Choose the all-lower or all-upper starting corner, whichever leaves
         # fewer rows needing an artificial variable (ties prefer lower).
-        bad_lo = _row_residuals(lp, lp.var_lower) > FEAS_TOL
-        bad_hi = _row_residuals(lp, lp.var_upper) > FEAS_TOL
+        ax_lo, ax_hi = lp.matvec(lp.var_lower), lp.matvec(lp.var_upper)
+        bad_lo = _row_residuals(lp, ax_lo - lp.rhs) > FEAS_TOL
+        bad_hi = _row_residuals(lp, ax_hi - lp.rhs) > FEAS_TOL
         at_upper = np.count_nonzero(bad_hi) < np.count_nonzero(bad_lo)
-        x0, bad = (lp.var_upper, bad_hi) if at_upper else (lp.var_lower, bad_lo)
-        residual = lp.rhs - lp.matvec(x0)
+        ax0, bad = (ax_hi, bad_hi) if at_upper else (ax_lo, bad_lo)
+        residual = lp.rhs - ax0
 
         # Equality rows always need a basic artificial (they have no slack),
         # feasible-at-start ones simply carry it at value ~0.
@@ -378,17 +391,6 @@ class _Tableau:
         self.c_phase2 = np.zeros(N)
         self.c_phase2[:n] = self.sgn * lp.objective
         self.iterations = 0
-
-    def basis_matrix(self) -> np.ndarray:
-        """The basis columns of [lp.rows | unit columns], as an m x m array."""
-        n, basis = self.n, self.basis
-        B = np.zeros((self.m, self.m))
-        structural = basis < n
-        B[:, structural] = self.lp.rows[:, basis[structural]]
-        k = np.flatnonzero(~structural)
-        u = basis[k] - n
-        B[self.unit_row[u], k] = self.unit_sign[u]
-        return B
 
     def run(self, c: np.ndarray, max_iterations: int) -> str:
         """Primal simplex until optimal for objective c.
@@ -441,8 +443,8 @@ class _Tableau:
             mag = np.abs(delta[rows])
             eligible = rows[mag > PIVOT_TOL * min(1.0, mag.max(initial=0.0))]
             for er in (eligible, rows):
-                de = delta[er]
-                stop = np.where(de < 0, lo[basis[er]], hi[basis[er]])
+                de, be = delta[er], basis[er]
+                stop = np.where(de < 0, lo[be], hi[be])
                 limits = np.maximum((stop - xB[er]) / de, 0.0)
                 t_rows = float(limits.min(initial=np.inf))
                 if t_rows < np.inf or t_own < np.inf:
@@ -485,20 +487,31 @@ class _Tableau:
         """The solution at the current basis, reported with ``status``.
 
         At an optimum the basic values are re-solved from the basis matrix B,
-        removing the drift of the in-place updates, and the duals come from
-        B.T; ``T`` is dropped first, so the two are never held at once.  Only
-        structurals enter the right-hand side, as nonbasic slacks and
-        artificials sit at zero.  Any other status keeps the tableau's basic
-        values and zero duals.
+        the basis columns of [lp.rows | unit columns], removing the drift of
+        the in-place updates, and the duals come from B.T; ``T`` is dropped
+        first, so the two are never held at once.  Only structurals enter the
+        right-hand side, as nonbasic slacks and artificials sit at zero.  A
+        singular B, which only a badly scaled LP reaches, raises
+        LpInputError.  Any other status keeps the tableau's basic values and
+        zero duals.
         """
         del self.T
         lp, n, basis = self.lp, self.n, self.basis
         z = np.where(self.dirn < 0, self.hi, self.lo)
         if status == "optimal":
             z[basis] = 0.0
-            B = self.basis_matrix()
-            self.xB[:] = np.linalg.solve(B, lp.rhs - lp.matvec(z[:n]))
-            y = self.sgn * np.linalg.solve(B.T, self.c_phase2[basis])
+            B = np.zeros((self.m, self.m))
+            structural = basis < n
+            B[:, structural] = lp.rows[:, basis[structural]]
+            k = np.flatnonzero(~structural)
+            u = basis[k] - n
+            B[self.unit_row[u], k] = self.unit_sign[u]
+            try:
+                self.xB[:] = np.linalg.solve(B, lp.rhs - lp.matvec(z[:n]))
+                y = self.sgn * np.linalg.solve(B.T, self.c_phase2[basis])
+            except np.linalg.LinAlgError:
+                raise LpInputError("the final basis matrix is singular; "
+                                   "the LP is too badly scaled to solve") from None
         else:
             y = np.zeros(self.m)
         z[basis] = self.xB
@@ -512,32 +525,33 @@ def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
 
     Runs phase 1 only when the cheaper of the two bound corners is infeasible.
     Exceeding the iteration cap is reported as status ``iteration_limit``,
-    never silently; ``max_iterations`` is an integer >= 0, or None for a cap
-    that grows with the LP's size.  ``certify`` reports the feasibility and
-    duality gap of an optimum.
+    never silently, whether in phase 1 or phase 2; ``max_iterations`` is an
+    integer >= 0, checked before the tableau is built, or None for a cap that
+    grows with the LP's size.  Every outcome ends in ``_Tableau.solution``.
+    ``certify`` reports the feasibility and duality gap of an optimum.
     """
-    tab = _Tableau(lp)
-    if max_iterations is None:
-        max_iterations = 50 * (tab.m + tab.N) + 5000
-    else:
+    if max_iterations is not None:
         max_iterations = _as_int(max_iterations, "max_iterations")
         if max_iterations < 0:
             raise LpInputError(f"max_iterations must be >= 0, got {max_iterations}")
+    tab = _Tableau(lp)
+    if max_iterations is None:
+        max_iterations = 50 * (tab.m + tab.N) + 5000
 
+    status = "optimal"
     if tab.n_art:
+        art = slice(tab.n + tab.n_slack, None)
         c1 = np.zeros(tab.N)
-        c1[tab.n + tab.n_slack:] = 1.0
+        c1[art] = 1.0
         status = tab.run(c1, max_iterations)
-        if status != "optimal":
-            return tab.solution(status)
-        art_level = float(sum(tab.xB[tab.basis >= tab.n + tab.n_slack]))
-        if art_level > FEAS_TOL * max(1.0, np.abs(lp.rhs).max(initial=1.0)):
-            return tab.solution("infeasible")
+        art_level = float(sum(tab.xB[tab.basis >= art.start]))
+        if status == "optimal" and art_level > FEAS_TOL * np.abs(lp.rhs).max(initial=1.0):
+            status = "infeasible"
         # pin artificials at zero; zero-span variables can never re-enter
-        tab.hi[tab.n + tab.n_slack:] = 0.0
-        tab.lo[tab.n + tab.n_slack:] = 0.0
-
-    return tab.solution(tab.run(tab.c_phase2, max_iterations))
+        tab.hi[art] = tab.lo[art] = 0.0
+    if status == "optimal":
+        status = tab.run(tab.c_phase2, max_iterations)
+    return tab.solution(status)
 
 
 def dump_lp(lp: DenseLp, path) -> None:

@@ -158,6 +158,8 @@ def discretize_profile(profile, family: FamilySpec):
 
     `profile` is either a canonical g-profile matching the family kind, or a
     bare callable g (its continuum objective is then taken by quadrature).
+    A size past the cap of ``family.operator()`` is refused before g is
+    sampled.
     """
     n = family.size
     if isinstance(profile, ContinuumProfile):
@@ -174,6 +176,7 @@ def discretize_profile(profile, family: FamilySpec):
     else:
         raise LpInputError("profile must be a ContinuumProfile or callable")
 
+    lp = family.operator()
     grid = np.arange(1, n + 1) / n
     values = g(grid)
     try:
@@ -190,7 +193,6 @@ def discretize_profile(profile, family: FamilySpec):
     if continuum is None:
         continuum = _quadrature_objective(g, family.kind)
 
-    lp = family.operator()
     report = check_feasibility(lp, x, tol=2.0 / n)
     lp_obj = float(lp.objective @ x)
     gap = DiscretizationGap(max_violation=report.max_violation,

@@ -5,7 +5,7 @@ import pytest
 
 from lplimits import certify, interval_opt, lp_core, solve, variational
 from lplimits.cli import SEED_ENV_VAR, main
-from lplimits.families import FAMILY_KINDS, FamilySpec
+from lplimits.families import FAMILY_KINDS, ORACLE_SIZE_CAP, FamilySpec
 
 INV_E = 1.0 / math.e
 
@@ -160,6 +160,17 @@ def test_kkt_check_bad_perturb_is_json_error(capsys, perturb):
     payload = strict_json(err)
     assert payload["type"] == "LpInputError"
     assert "--perturb" in payload["error"]
+
+
+def test_kkt_check_past_grid_cap_is_json_error(capsys, monkeypatch):
+    # numpy unreachable: the cap must fire before np.arange allocates
+    from lplimits import cli
+    monkeypatch.setattr(cli, "np", None)
+    code, out, err = run_cli(capsys, "kkt-check", "--grid", str(ORACLE_SIZE_CAP + 1))
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert payload["error"] == f"--grid {ORACLE_SIZE_CAP + 1} exceeds cap {ORACLE_SIZE_CAP}"
 
 
 def test_kkt_check_zero_perturb_skips_the_perturbed_check(capsys):

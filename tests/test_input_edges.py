@@ -22,6 +22,7 @@ from lplimits import (
     families,
     integrate_tight_ode,
     load_lp,
+    lp_core,
     multiplier_check,
     planted_instance,
     run_balance,
@@ -129,8 +130,13 @@ def test_integer_edge_reads_integer_values_alike(edge):
 @pytest.mark.parametrize("bad, message", [("x", "must be an integer"),
                                           (2.5, "must be an integer"),
                                           (-1, "must be >= 0")])
-def test_solve_refuses_a_bad_iteration_cap(bad, message):
-    # None keeps the default cap and 0 is a valid one
+def test_solve_refuses_a_bad_iteration_cap(monkeypatch, bad, message):
+    # None keeps the default cap and 0 is a valid one; a bad cap is refused
+    # before the m x N tableau is allocated
+    def no_tableau(lp):
+        raise AssertionError("tableau built before max_iterations was checked")
+
+    monkeypatch.setattr(lp_core, "_Tableau", no_tableau)
     with pytest.raises(LpInputError, match=message):
         solve(families.build_ranking(4), max_iterations=bad)
 

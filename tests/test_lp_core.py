@@ -117,6 +117,43 @@ def test_certify_refuses_non_optimal():
         certify(lp, sol)
 
 
+def test_phase1_iteration_limit_is_reported():
+    # the equality row needs an artificial, so phase 1 runs and stops at
+    # once; x is the start corner, within its bounds
+    lp = box_lp(MINIMIZE, [1.0, 2.0], [[1.0, 1.0]], [EQ], [1.0])
+    assert _Tableau(lp).n_art == 1
+    sol = solve(lp, max_iterations=0)
+    assert sol.status == "iteration_limit" and sol.iterations == 0
+    assert np.array_equal(sol.dual, np.zeros(1))
+    assert np.all((lp.var_lower <= sol.x) & (sol.x <= lp.var_upper))
+
+
+def test_singular_final_basis_is_an_input_error():
+    # The final basis holds x2 and row 2's slack, both nonzero only in
+    # row 2, so the basis matrix of the re-solve is singular.
+    lp = box_lp(MAXIMIZE, [1.24, -2.18, -2.23],
+                [[6.2e9, 0.0, 0.0], [-4.2e8, 0.0, 0.0], [-7500.0, 0.0, 5.1e7]],
+                [LE, EQ, LE], [1.55e8, -1.05e7, -186.9], hi=np.ones(3))
+    with pytest.raises(LpInputError, match="basis matrix is singular"):
+        solve(lp)
+
+
+def test_solve_and_certify_form_each_product_once(monkeypatch):
+    # a solve forms A x at each start corner and at the final re-solve;
+    # certify reuses its feasibility check's A x - b for complementarity
+    calls = []
+    for name in ("matvec", "rmatvec"):
+        product = getattr(DenseLp, name)
+        monkeypatch.setattr(DenseLp, name, lambda lp, v, name=name, product=product:
+                            calls.append(name) or product(lp, v))
+    lp = build_ranking(12)
+    sol = solve(lp)
+    assert sol.status == "optimal" and calls == ["matvec"] * 3
+    calls.clear()
+    assert certify(lp, sol).passed
+    assert sorted(calls) == ["matvec", "rmatvec"]
+
+
 def test_one_variable_strong_duality():
     lp = box_lp(MINIMIZE, [1.0], [[1.0]], [GE], [1.0], lo=[0.0], hi=[5.0])
     sol = solve(lp)
@@ -173,6 +210,8 @@ def test_rejects_bad_inputs():
     ("rows", np.zeros((0, 2)), r"m = 1, got \(0, 2\)"),
     ("sign", (GE,), "sign must be numeric"),
     ("sign", (np.nan,), "non-finite entries in sign"),
+    ("rows", [["a"]], "rows must be numeric"),
+    ("rows", [[object()]], "rows must be numeric"),
 ])
 def test_dense_lp_rejects_malformed(field, value, match):
     lp = box_lp(MINIMIZE, [1.0, 1.0], [[1.0, 1.0]], [GE], [1.0])

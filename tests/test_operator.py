@@ -127,11 +127,18 @@ def test_certify_rejects_a_misshapen_dual(kind):
 
 def test_operator_keeps_the_simplex_cap():
     spec = FamilySpec("ranking", SIMPLEX_SIZE_CAP + 1)
+
+    def unsampled(t):  # the cap is checked before g is sampled
+        raise AssertionError("g sampled before the size cap was checked")
+
     with pytest.raises(LpInputError) as dense_err:
         spec.build()
     with pytest.raises(LpInputError) as op_err:
         spec.operator()
     with pytest.raises(LpInputError) as vc_err:
         discretize_profile(_g_profile("ranking"), spec)
+    with pytest.raises(LpInputError) as bare_err:
+        discretize_profile(unsampled, spec)
     assert str(op_err.value) == str(dense_err.value) == str(vc_err.value) \
+        == str(bare_err.value) \
         == f"family size {SIMPLEX_SIZE_CAP + 1} exceeds cap {SIMPLEX_SIZE_CAP}"

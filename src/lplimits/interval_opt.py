@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lp_core import LpInputError, _as_float, _as_int
+from .lp_core import LpInputError, _as_float, _as_floats, _as_int
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def reconstruct_u(s: IntervalSequence, t):
     intervals (and 0 before the first one), so u is continuous,
     non-decreasing, u(0) = 0, and u + t u' = 1 exactly on every interval.
     """
-    t = np.asarray(t, dtype=float)
+    t = _as_floats(t, "t")
     tt = np.where(t > 0, t, 1.0)
     u = np.zeros_like(t)
     u_dot = np.zeros_like(t)

@@ -43,6 +43,9 @@ products, ``lp.matvec(x)`` (``rows @ x``) and ``lp.rmatvec(y)``
 family's ``FamilyLp``, which gives both from prefix sums and has no rows.
 Each is formed once: ``solve`` takes one ``matvec`` per start corner and
 one for its final re-solve, and ``certify`` one of each.
+
+Every array input of the package is read by ``_as_floats``, which refuses
+one that is not numeric or not finite; each caller checks its shape.
 """
 from __future__ import annotations
 
@@ -99,6 +102,17 @@ def _as_tol(value) -> float:
     return tol
 
 
+def _as_floats(value, name: str) -> np.ndarray:
+    """value as a float array of its shape; LpInputError unless all finite numbers."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise LpInputError(f"{name} must be numeric") from None
+    if not np.isfinite(arr).all():
+        raise LpInputError(f"non-finite entries in {name}")
+    return arr
+
+
 _SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
 _RELATION = {v: k for k, v in _SIGN.items()}
 
@@ -126,13 +140,10 @@ class LpHeader:
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise LpInputError(f"unknown sense {self.sense!r}")
         for name in ("objective", "sign", "rhs", "var_lower", "var_upper"):
-            try:
-                arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            except (TypeError, ValueError):
-                raise LpInputError(f"{name} must be numeric") from None
-            if not np.isfinite(arr).all():
-                raise LpInputError(f"non-finite entries in {name}")
-            object.__setattr__(self, name, arr)
+            arr = _as_floats(getattr(self, name), name)
+            if arr.ndim > 1:
+                raise LpInputError(f"{name} must be a vector, got shape {arr.shape}")
+            object.__setattr__(self, name, np.atleast_1d(arr))
         if self.n_vars < 1:
             raise LpInputError("LP must have at least one variable")
         if self.sign.size != self.rhs.size:
@@ -169,14 +180,9 @@ class DenseLp(LpHeader):
     def __post_init__(self):
         super().__post_init__()
         m, n = self.n_rows, self.n_vars
-        try:
-            rows = np.asarray(self.rows, dtype=float)
-        except (TypeError, ValueError):
-            raise LpInputError("rows must be numeric") from None
+        rows = _as_floats(self.rows, "rows")
         if rows.shape != (m, n):
             raise LpInputError(f"rows must be (m, {n}) with m = {m}, got {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise LpInputError("non-finite entries in rows")
         object.__setattr__(self, "rows", rows)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -240,11 +246,9 @@ def check_feasibility(lp: LpHeader, x, tol: float = FEAS_TOL) -> FeasibilityRepo
 
 def _feasibility(lp: LpHeader, x, tol: float) -> tuple[FeasibilityReport, np.ndarray]:
     """``check_feasibility``'s report, and the residual r = A x - b it read."""
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, "x")
     if x.shape != (lp.n_vars,):
         raise LpInputError(f"x must have shape ({lp.n_vars},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise LpInputError("x has non-finite entries")
     r = lp.matvec(x) - lp.rhs
     res = _row_residuals(lp, r)
     worst = int(np.argmax(res)) if lp.n_rows else -1
@@ -270,11 +274,9 @@ def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> Certificate
     tol = _as_tol(tol)
     if sol.status != "optimal":
         raise LpInputError(f"certificate refused: solution status is {sol.status!r}")
-    x, y = sol.x, np.asarray(sol.dual, dtype=float)
+    x, y = sol.x, _as_floats(sol.dual, "dual")
     if y.shape != (lp.n_rows,):
         raise LpInputError(f"dual must have shape ({lp.n_rows},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise LpInputError("dual has non-finite entries")
     feas, r = _feasibility(lp, x, tol)
     primal_obj = float(lp.objective @ x)
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
@@ -530,6 +532,8 @@ def solve(lp: DenseLp, max_iterations: int | None = None) -> LpSolution:
     grows with the LP's size.  Every outcome ends in ``_Tableau.solution``.
     ``certify`` reports the feasibility and duality gap of an optimum.
     """
+    if not isinstance(lp, DenseLp):   # such as a family's FamilyLp
+        raise LpInputError("solve needs a DenseLp, with rows: see FamilySpec.build()")
     if max_iterations is not None:
         max_iterations = _as_int(max_iterations, "max_iterations")
         if max_iterations < 0:
@@ -561,6 +565,8 @@ def dump_lp(lp: DenseLp, path) -> None:
     line per row ``coeffs... rel rhs``; finally the lower and upper bound
     lines.
     """
+    if not isinstance(lp, DenseLp):   # checked before the file is opened
+        raise LpInputError("dump_lp needs a DenseLp, with rows: see FamilySpec.build()")
     with open(path, "w") as fh:
         fh.write(f"{lp.sense} {lp.n_vars} {lp.n_rows}\n")
         fh.write(" ".join(repr(float(v)) for v in lp.objective) + "\n")
@@ -596,7 +602,5 @@ def load_lp(path, family_tag: str | None = None) -> DenseLp:
         hi = [float(v) for v in lines[3 + m]]
     except (IndexError, ValueError) as exc:
         raise LpInputError(f"malformed LP dump {path}: {exc}") from None
-    return DenseLp(sense=sense, objective=np.array(objective),
-                   rows=np.array(rows).reshape(m, n), sign=np.array(sign),
-                   rhs=np.array(rhs), var_lower=np.array(lo), var_upper=np.array(hi),
-                   family_tag=family_tag)
+    return DenseLp(sense=sense, objective=objective, rows=np.reshape(rows, (m, n)),
+                   sign=sign, rhs=rhs, var_lower=lo, var_upper=hi, family_tag=family_tag)

@@ -25,7 +25,7 @@ import numpy as np
 from . import families
 # the threshold-rule values live with the secretary LP; importable from here too
 from .families import best_threshold, threshold_policy_value  # noqa: F401
-from .lp_core import LpInputError, _as_int, check_feasibility
+from .lp_core import LpInputError, _as_floats, _as_int, check_feasibility
 
 TRIAL_BLOCK = 4096
 DEFAULT_TRIALS = 100_000
@@ -63,14 +63,17 @@ class SimInstance:
             raise LpInputError("need n_offline >= 1 and b >= 1")
         cleaned = {}    # each distinct tuple is cleaned once, then reused
         arrivals = []
-        for nb in map(tuple, self.arrivals):
-            clean = cleaned.get(nb)
-            if clean is None:
-                clean = cleaned[nb] = tuple(sorted(
-                    {_as_int(v, "neighbor index") for v in nb}))
-                if clean and (clean[0] < 1 or clean[-1] > n):
-                    raise LpInputError("neighbor index outside [1, n_offline]")
-            arrivals.append(clean)
+        try:
+            for nb in map(tuple, self.arrivals):
+                clean = cleaned.get(nb)
+                if clean is None:
+                    clean = cleaned[nb] = tuple(sorted(
+                        {_as_int(v, "neighbor index") for v in nb}))
+                    if clean and (clean[0] < 1 or clean[-1] > n):
+                        raise LpInputError("neighbor index outside [1, n_offline]")
+                arrivals.append(clean)
+        except TypeError:   # arrivals, or one of them, is not a sequence
+            raise LpInputError("arrivals must be a sequence of index tuples") from None
         object.__setattr__(self, "n_offline", n)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "arrivals", tuple(arrivals))
@@ -106,14 +109,11 @@ class PolicyTable:
 
     def __post_init__(self):
         n = _as_int(self.n, "n")
-        try:
-            p = np.asarray(self.accept_prob, dtype=float)
-        except (TypeError, ValueError):
-            raise LpInputError("accept_prob must be numeric") from None
+        p = _as_floats(self.accept_prob, "accept_prob")
         if p.ndim != 1 or p.size < 1 or p.size != n:
             raise LpInputError(
                 f"accept_prob must be a vector of n = {n} >= 1 entries")
-        if not np.all((p >= 0.0) & (p <= 1.0)):     # NaN fails too
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise LpInputError("accept_prob entries must lie in [0, 1]")
         if np.shape(self.reachable) != p.shape:
             raise LpInputError("reachable must have the shape of accept_prob")
@@ -264,7 +264,7 @@ def secretary_policy_from_lp(x) -> PolicyTable:
     unreachable and carry probability 0.  x must satisfy the LP's rows
     i x_i + sum_{l<i} x_l <= 1 and bounds 0 <= x <= 1 to within 1e-6.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, "x")
     n = x.size
     # the secretary rows are FamilyLp's prefix sums, without operator()'s cap;
     # FamilyLp refuses n = 0, and check_feasibility any x but n finite values

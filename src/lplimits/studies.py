@@ -91,7 +91,10 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     """
     if kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
-    sizes = sorted(_as_int(n, "sweep size") for n in sizes)
+    try:
+        sizes = sorted(_as_int(n, "sweep size") for n in sizes)
+    except TypeError:
+        raise LpInputError(f"sizes must be a sequence, got {sizes!r}") from None
     if not sizes or sizes[0] < 1:
         raise LpInputError("sizes must be positive")
     if len(set(sizes)) < len(sizes):

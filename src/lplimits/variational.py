@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec, _geometric
-from .lp_core import LpInputError, _as_float, _as_tol, check_feasibility
+from .lp_core import LpInputError, _as_float, _as_floats, _as_tol, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
 # flat piece of the secretary optimizer from the hyperbolic piece.
@@ -30,7 +30,7 @@ class ContinuumProfile:
     family: str | None = None
 
     def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float))
+        return self.fn(_as_floats(t, "t"))
 
 
 def _exp_neg(t):
@@ -72,10 +72,9 @@ PROFILES = {p.tag: p for p in (
 
 def eval_profile(profile: ContinuumProfile | str, t: float) -> float:
     """Closed-form profile value at a point of [0, 1]."""
-    if isinstance(profile, str):
-        if profile not in PROFILES:
-            raise LpInputError(f"unknown profile tag {profile!r}")
-        profile = PROFILES[profile]
+    profile = PROFILES.get(profile, profile) if isinstance(profile, str) else profile
+    if not callable(profile):
+        raise LpInputError(f"unknown profile tag {profile!r}")
     t = _as_float(t, "t")
     if not 0.0 <= t <= 1.0:
         raise LpInputError(f"t={t} outside [0, 1]")
@@ -178,11 +177,7 @@ def discretize_profile(profile, family: FamilySpec):
 
     lp = family.operator()
     grid = np.arange(1, n + 1) / n
-    values = g(grid)
-    try:
-        gv = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise LpInputError(f"profile values must be real numbers: {exc}") from None
+    gv = _as_floats(g(grid), "profile values")
     if family.kind in ("toy", "ranking"):
         x = gv
     elif family.kind == "balance":
@@ -205,7 +200,7 @@ def _quadrature_objective(g, kind: str) -> float:
     """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1)."""
     panels = 100_000   # even
     t = np.linspace(0.0, 1.0, panels + 1)
-    gv = np.asarray(g(t), dtype=float)
+    gv = _as_floats(g(t), "profile values")
     y = gv * ((1.0 - t) if kind == "balance" else np.ones_like(t))
     return float(y[:-1:2].sum() + 4.0 * y[1::2].sum() + y[2::2].sum()) / (3 * panels)
 
@@ -289,12 +284,9 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     the four result arrays, one scratch array holds the slopes, then the
     centred steps, then each residual, and d(mu2)/dt's array becomes v^2.
     """
-    t = np.asarray(grid, dtype=float)
-    u = np.asarray(u_candidate, dtype=float)
+    t, u = _as_floats(grid, "grid"), _as_floats(u_candidate, "u_candidate")
     if t.ndim != 1 or t.size < 3 or u.shape != t.shape:
         raise LpInputError("grid and candidate must be equal-length 1-d arrays")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(u))):
-        raise LpInputError("grid and candidate must be finite")
     slope_in = np.empty_like(u)
     dt = np.subtract(t[1:], t[:-1], out=slope_in[1:])
     if t[0] <= 0.0 or t[-1] > 1.0 or np.any(dt <= 0):

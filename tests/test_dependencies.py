@@ -47,6 +47,21 @@ def test_every_test_import_is_declared_for_testing():
     assert imported_packages(ROOT / "tests") - allowed == set()
 
 
+def test_every_float_array_is_read_by_one_reader():
+    # np.asarray( appears only in lp_core._as_floats, so every array input
+    # is refused alike when it is not numeric or not finite
+    tree = ast.parse((PACKAGE / "lp_core.py").read_text())
+    readers = [f for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name == "_as_floats"]
+    assert len(readers) == 1
+    inside = {("lp_core.py", i)
+              for i in range(readers[0].lineno, readers[0].end_lineno + 1)}
+    found = {(path.name, i) for path in PACKAGE.glob("*.py")
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "np.asarray(" in line}
+    assert found and found <= inside, sorted(found - inside)
+
+
 @pytest.mark.parametrize("call,absent", [
     pytest.param("L.offline_optimum(L.triangular_instance(5, 2))",
                  {"scipy", "networkx"}, id="offline-optimum-no-scipy-or-networkx"),

@@ -3,7 +3,9 @@ non-integer value is refused with LpInputError, and an integer-valued
 number or the decimal text of one gives the same result as the int.
 Every float parameter goes through ``lp_core._as_float``: a non-number,
 text included, is refused with LpInputError.  A tol also goes through
-``lp_core._as_tol``, which refuses a NaN, infinite or negative value."""
+``lp_core._as_tol``, which refuses a NaN, infinite or negative value.
+Every array input goes through ``lp_core._as_floats``: text is refused as
+not numeric, and a NaN or infinite entry as non-finite."""
 import pickle
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ from lplimits import (
     SimInstance,
     certify,
     check_feasibility,
+    discretize_profile,
     eval_profile,
     families,
     integrate_tight_ode,
@@ -25,16 +28,18 @@ from lplimits import (
     lp_core,
     multiplier_check,
     planted_instance,
+    reconstruct_u,
     run_balance,
     run_ranking,
     run_secretary,
     search_best,
+    secretary_policy_from_lp,
     solve,
     triangular_instance,
 )
 from lplimits.interval_opt import GRID_CAP
 from lplimits.online_sim import _block_rng, read_instance
-from lplimits.variational import SECRETARY_U
+from lplimits.variational import RANKING_G, SECRETARY_U
 
 
 def _policy(n):
@@ -85,6 +90,46 @@ FLOAT_EDGES = {
         lambda v: check_feasibility(_RANKING3, np.zeros(3), tol=v), 1e-9),
     "certify.tol": (lambda v: certify(_RANKING3, solve(_RANKING3), tol=v), 1e-8),
 }
+
+
+# name -> (call on the array input, given 3 entries; the name in its messages)
+ARRAY_EDGES = {
+    "LpHeader.rhs": (
+        lambda v: replace(FamilySpec("ranking", 3).operator(), rhs=v), "rhs"),
+    "DenseLp.rows": (lambda v: replace(_RANKING3, rows=[v] * 3), "rows"),
+    "check_feasibility.x": (lambda v: check_feasibility(_RANKING3, v), "x"),
+    "certify.dual": (
+        lambda v: certify(_RANKING3, replace(solve(_RANKING3), dual=v)), "dual"),
+    "PolicyTable.accept_prob": (
+        lambda v: PolicyTable(n=3, accept_prob=v, reachable=np.ones(3, bool)),
+        "accept_prob"),
+    "secretary_policy_from_lp.x": (secretary_policy_from_lp, "x"),
+    "ContinuumProfile.t": (RANKING_G, "t"),
+    "discretize_profile.values": (
+        lambda v: discretize_profile(lambda t: np.resize(v, t.shape),
+                                     FamilySpec("toy", 3)), "profile values"),
+    # fine on the sample grid i/n; the quadrature grid starts at t = 0
+    "discretize_profile.quadrature": (
+        lambda v: discretize_profile(lambda t: t if t[0] > 0 else np.resize(v, t.shape),
+                                     FamilySpec("toy", 3)), "profile values"),
+    "multiplier_check.grid": (
+        lambda v: multiplier_check(v, SECRETARY_U(_GRID[-3:])), "grid"),
+    "multiplier_check.u_candidate": (
+        lambda v: multiplier_check(_GRID[-3:], v), "u_candidate"),
+    "reconstruct_u.t": (lambda v: reconstruct_u(IntervalSequence((0.5, 1.0)), v), "t"),
+}
+
+
+@pytest.mark.parametrize("edge", ARRAY_EDGES)
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(["a", "b", "c"], "{} must be numeric", id="text"),
+    pytest.param([0.5, np.nan, 0.5], "non-finite entries in {}", id="nan"),
+])
+def test_array_edge_refuses_text_and_nan(edge, bad, message):
+    # every array input is read by lp_core._as_floats, with its messages
+    call, name = ARRAY_EDGES[edge]
+    with pytest.raises(LpInputError, match=message.format(name)):
+        call(bad)
 
 
 @pytest.mark.parametrize("edge", FLOAT_EDGES)
@@ -147,7 +192,7 @@ def test_certify_refuses_a_non_finite_dual(bad):
     # whose gap is nan
     sol = solve(_RANKING3)
     for lp in (_RANKING3, FamilySpec("ranking", 3).operator()):
-        with pytest.raises(LpInputError, match="dual has non-finite entries"):
+        with pytest.raises(LpInputError, match="non-finite entries in dual"):
             certify(lp, replace(sol, dual=np.full(3, bad)))
 
 

@@ -212,6 +212,12 @@ def test_rejects_bad_inputs():
     ("sign", (np.nan,), "non-finite entries in sign"),
     ("rows", [["a"]], "rows must be numeric"),
     ("rows", [[object()]], "rows must be numeric"),
+    # a header field is a vector, or a scalar read as one entry
+    ("objective", [[1.0, 1.0]], "objective must be a vector"),
+    ("sign", [[-1.0]], "sign must be a vector"),
+    ("rhs", [[1.0]], "rhs must be a vector"),
+    ("var_lower", [[0.0], [0.0]], "var_lower must be a vector"),
+    ("var_upper", [[1.0], [1.0]], "var_upper must be a vector"),
 ])
 def test_dense_lp_rejects_malformed(field, value, match):
     lp = box_lp(MINIMIZE, [1.0, 1.0], [[1.0, 1.0]], [GE], [1.0])

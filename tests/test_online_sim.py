@@ -732,6 +732,9 @@ def test_instance_validation():
         SimInstance(2, 1, ((3,),))
     with pytest.raises(LpInputError):
         SimInstance(0, 1, ())
+    for arrivals in ((5,), None):   # not a sequence of neighbor tuples
+        with pytest.raises(LpInputError, match="arrivals must be a sequence"):
+            SimInstance(3, 1, arrivals)
 
 
 @pytest.mark.parametrize("b", [1, 2, 5])

@@ -4,7 +4,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from lplimits import FamilySpec, LpInputError, certify, check_feasibility, solve
+from lplimits import (FamilySpec, LpInputError, certify, check_feasibility, dump_lp,
+                      lp_core, solve)
 from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilyLp, _fields
 from lplimits.variational import PROFILES, discretize_profile
 
@@ -100,6 +101,21 @@ def test_operator_rejects_a_malformed_header(change, message):
     # fail in check_feasibility with numpy's broadcast error
     with pytest.raises(LpInputError, match=message):
         FamilyLp(**{**_fields("ranking", 5), **change})
+
+
+def test_solve_and_dump_refuse_an_lp_without_rows(monkeypatch, tmp_path):
+    # refused before the tableau is built or the dump file is opened, not
+    # left to fail on the missing rows with an AttributeError
+    def no_tableau(lp):
+        raise AssertionError("tableau built for an LP without rows")
+
+    monkeypatch.setattr(lp_core, "_Tableau", no_tableau)
+    op, path = FamilySpec("ranking", 4).operator(), tmp_path / "lp.txt"
+    with pytest.raises(LpInputError, match=r"FamilySpec\.build\(\)"):
+        solve(op)
+    with pytest.raises(LpInputError, match=r"FamilySpec\.build\(\)"):
+        dump_lp(op, path)
+    assert not path.exists()
 
 
 def test_operator_rejects_bad_points():

@@ -53,6 +53,8 @@ def test_sweep_rejects_oversize_and_unknown():
         sweep_family("nope", [4])
     with pytest.raises(LpInputError):
         sweep_family("toy", [])
+    with pytest.raises(LpInputError, match="sizes must be a sequence"):
+        sweep_family("toy", 5)
 
 
 def test_sweep_aborts_on_non_optimal(monkeypatch):

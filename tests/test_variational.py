@@ -292,7 +292,7 @@ def test_discretize_rejects_mismatch():
 def test_discretize_rejects_a_non_callable_profile():
     with pytest.raises(LpInputError, match="ContinuumProfile or callable"):
         discretize_profile(0.5, FamilySpec("toy", 10))
-    with pytest.raises(LpInputError, match="profile values must be real numbers"):
+    with pytest.raises(LpInputError, match="profile values must be numeric"):
         discretize_profile(lambda t: np.full(t.shape, "x"), FamilySpec("toy", 10))
 
 
@@ -411,6 +411,8 @@ def test_multiplier_constant_candidate_has_zero_multipliers():
 def test_eval_profile_rejects_unknown_tag():
     with pytest.raises(LpInputError, match="unknown profile tag"):
         eval_profile("Nope", 0.5)
+    with pytest.raises(LpInputError, match="unknown profile tag"):
+        eval_profile(5, 0.5)
 
 
 @pytest.mark.parametrize("kind", ["balance", "ranking"])

@@ -157,7 +157,7 @@ def _load_sim_instance(args) -> online_sim.SimInstance:
 
 def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    online_sim._block_rng(seed, 0)  # the Philox key range check, for every algorithm
+    online_sim._as_seed(seed)  # the Philox key range check, for every algorithm
     if args.algorithm == "balance":
         inst = _load_sim_instance(args)
         run = online_sim.run_balance(inst, n_slabs=args.slabs)

@@ -23,7 +23,11 @@ class IntervalSequence:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(_as_float(p, "each point") for p in self.points)
+        try:
+            pts = tuple(_as_float(p, "each point") for p in self.points)
+        except TypeError:   # points is not a sequence
+            raise LpInputError("points must be a sequence of real numbers, "
+                               f"got {self.points!r}") from None
         if len(pts) < 2 or len(pts) % 2:
             raise LpInputError("need an even number (>= 2) of points")
         # negated comparisons, so a NaN point fails them

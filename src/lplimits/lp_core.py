@@ -45,7 +45,8 @@ Each is formed once: ``solve`` takes one ``matvec`` per start corner and
 one for its final re-solve, and ``certify`` one of each.
 
 Every array input of the package is read by ``_as_floats``, which refuses
-one that is not numeric or not finite; each caller checks its shape.
+one that is not numeric (text included) or not finite; each caller checks
+its shape.
 """
 from __future__ import annotations
 
@@ -103,9 +104,15 @@ def _as_tol(value) -> float:
 
 
 def _as_floats(value, name: str) -> np.ndarray:
-    """value as a float array of its shape; LpInputError unless all finite numbers."""
+    """value as a float array of its shape; LpInputError unless all finite
+    numbers, so text such as "0.5" is refused rather than parsed."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype.kind in "SU" or (
+                arr.dtype.kind == "O" and any(isinstance(v, (str, bytes))
+                                              for v in arr.flat)):
+            raise TypeError   # numpy would parse the text
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise LpInputError(f"{name} must be numeric") from None
     if not np.isfinite(arr).all():

@@ -8,16 +8,22 @@ recovered from a feasible LP solution or given directly.
 
 Monte Carlo runs consume randomness in fixed blocks of trials; block i draws
 from a counter-based Philox stream keyed by (seed, i), so estimates are
-bit-reproducible and invariant to how blocks are sharded across workers.
-A run refills its block-sized arrays from block to block, and RANKING frees
-its draws only right before drawing the next block's: a block array freed
-earlier left a hole in the heap that small allocations could split, so the
-peak resident size of identical runs differed by a block array.  The
-secretary simulator draws its acceptance coins only for a fractional policy,
-one with some 0 < p < 1; every other policy decides without them.
+bit-reproducible.  Any stretch of a block's stream can be opened at its
+offset, so the secretary simulator splits each block into one contiguous
+row range per CPU, runs the ranges on threads, and gives the same bytes for
+any number of CPUs; each thread holds arrays for its own rows only, so the
+block arrays in memory do not grow with the thread count.  A run refills
+its block-sized arrays from block to block, and RANKING frees its draws
+only right before drawing the next block's: a block array freed earlier
+left a hole in the heap that small allocations could split, so the peak
+resident size of identical runs differed by a block array.  The secretary
+simulator draws its acceptance coins only for a fractional policy, one with
+some 0 < p < 1; every other policy decides without them.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +37,60 @@ TRIAL_BLOCK = 4096
 DEFAULT_TRIALS = 100_000
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    """Independent substream for one trial block; streams are spaced 2^128
-    Philox counters apart.  The seed is the Philox key, so it must lie in
-    [0, 2^128)."""
+def _as_seed(seed) -> int:
+    """seed as a Philox key: an integer in [0, 2^128)."""
     seed = _as_int(seed, "seed")
     if not 0 <= seed < 1 << 128:
         raise LpInputError(f"seed must be in [0, 2**128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
+    return seed
+
+
+def _block_rng(seed: int, block: int, offset: int = 0) -> np.random.Generator:
+    """Independent substream for one trial block, started `offset` doubles
+    into it; streams are spaced 2^128 Philox counters apart.  The seed is
+    the Philox key, so it must lie in [0, 2^128).
+
+    A double takes one 64-bit output, and Philox makes 4 of them per counter
+    step, raising the counter before its first: so the stream starts
+    offset // 4 steps on, and the first offset % 4 outputs are dropped."""
+    bits = np.random.Philox(key=_as_seed(seed), counter=(block << 128) + offset // 4)
+    if offset % 4:
+        bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(work, count: int) -> list:
+    """[work(0), ..., work(count - 1)]: work(0) runs on the calling thread,
+    each other on a thread of its own.  Every thread is joined before this
+    returns, and the exception of the lowest index that raised is re-raised."""
+    results, errors = [None] * count, [None] * count
+
+    def run(w):
+        try:
+            results[w] = work(w)
+        except BaseException as exc:   # handed to the caller below
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, count):
+            threads.append(threading.Thread(target=run, args=(w,)))
+            threads[-1].start()
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _blocks(trials: int):
@@ -209,7 +261,7 @@ def run_ranking(instance: SimInstance, trials: int,
     """
     if instance.b != 1:
         raise LpInputError("RANKING requires unit capacities (b = 1)")
-    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
+    trials, seed = _as_int(trials, "trials"), _as_seed(seed)
     if trials < 1:
         raise LpInputError("trials must be >= 1")
     n = instance.n_offline
@@ -295,40 +347,60 @@ def run_secretary(policy: PolicyTable, trials: int, seed: int = 0) -> SimReport:
     success means the accepted candidate is the global best.
 
     A block draws its quality array and then, only for a fractional policy
-    (some 0 < p < 1), a coin per position, accepting where coin < p.  A coin
+    (some 0 < p < 1), a coin per position, accepting where coin < p; the
+    coins are drawn into the running maximum's array, spent by then.  A coin
     lies in [0, 1), so with every p in {0, 1} the acceptance is p == 1 and the
     coins, drawn last from the block's own stream, are skipped exactly.
+
+    Each block of bsz rows is split into W contiguous row ranges, W the
+    number of CPUs (at most the rows of the first block).  Range w runs on a
+    thread of its own, range 0 on the calling thread, through every block;
+    its rows [a, b) read their qualities at offset a * n of the block's
+    stream and their coins at offset (bsz + a) * n.  A thread holds arrays
+    for its own rows only, so the block arrays in memory are the same for
+    any W, and the success counts are summed as integers, so the estimate
+    is the same bytes too.
     """
-    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
+    trials, seed = _as_int(trials, "trials"), _as_seed(seed)
     if trials < 1:
         raise LpInputError("trials must be >= 1")
-    n = policy.n
     p = policy.accept_prob
     fractional = bool(np.any((p > 0.0) & (p < 1.0)))
+    workers = min(_workers(), trials, TRIAL_BLOCK)
+    counts = _on_threads(
+        lambda w: _secretary_rows(p, fractional, trials, seed, w, workers), workers)
+    total = float(sum(counts))
+    # success is a 0/1 indicator, so the sum of squares equals the sum
+    return _report(total, total, trials, seed)
+
+
+def _secretary_rows(p, fractional, trials, seed, w, workers) -> int:
+    """Successes of row range w of `workers` in every block of a secretary run."""
+    n = p.size
     certain = p == 1.0
-    shape = (min(trials, TRIAL_BLOCK), n)
-    floats = [np.empty(shape) for _ in range(2 + fractional)]
-    flags = [np.empty(shape, dtype=bool) for _ in range(2)]
-    total = 0.0
+    shape = (-(-min(trials, TRIAL_BLOCK) // workers), n)
+    arrays = [np.empty(shape), np.empty(shape),
+              np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)]
+    successes = 0
     for block, bsz in _blocks(trials):
-        rng = _block_rng(seed, block)
-        quality, record, *coins = (a[:bsz] for a in floats)
-        best_so_far, accept = (a[:bsz] for a in flags)
-        rng.random(out=quality)
+        a, b = bsz * w // workers, bsz * (w + 1) // workers
+        if a == b:
+            continue
+        quality, record, best_so_far, accept = (x[:b - a] for x in arrays)
+        _block_rng(seed, block, a * n).random(out=quality)
         np.maximum.accumulate(quality, axis=1, out=record)
         np.equal(quality, record, out=best_so_far)
         if fractional:
-            rng.random(out=coins[0])
-            np.less(coins[0], p[None, :], out=accept)
+            coins = record
+            _block_rng(seed, block, (bsz + a) * n).random(out=coins)
+            np.less(coins, p[None, :], out=accept)
             accept &= best_so_far
         else:
             np.logical_and(best_so_far, certain[None, :], out=accept)
-        first = np.argmax(accept, axis=1)
-        stopped = accept.any(axis=1)
-        success = stopped & (first == np.argmax(quality, axis=1))
-        total += float(success.sum())
-    # success is a 0/1 indicator, so the sum of squares equals the sum
-    return _report(total, total, trials, seed)
+        # one expression, so no per-row array outlives its block
+        successes += int(np.count_nonzero(accept.any(axis=1) & (
+            np.argmax(accept, axis=1) == np.argmax(quality, axis=1))))
+    return successes
 
 
 def policy_value(policy: PolicyTable) -> float:

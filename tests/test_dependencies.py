@@ -71,6 +71,10 @@ def test_every_float_array_is_read_by_one_reader():
     pytest.param("L.search_best(1, 1e-2, 1e-2)", {"scipy"}, id="k1-search-no-scipy"),
     pytest.param("L.discretize_profile(lambda t: 0.5 * t, L.FamilySpec('balance', 4))",
                  {"scipy"}, id="bare-callable-discretize-no-scipy"),
+    # the secretary simulator's threads come from threading, which Python
+    # loads at startup; concurrent.futures would add to every import
+    pytest.param("L.run_secretary(L.PolicyTable(3, [0.5] * 3, [True] * 3), 5000)",
+                 {"concurrent"}, id="secretary-no-concurrent-futures"),
 ])
 def test_fresh_interpreter_loads_no_extra_library(call, absent):
     code = f"import sys, lplimits as L\n{call}\nprint(*sys.modules)"

@@ -123,6 +123,7 @@ ARRAY_EDGES = {
 @pytest.mark.parametrize("edge", ARRAY_EDGES)
 @pytest.mark.parametrize("bad, message", [
     pytest.param(["a", "b", "c"], "{} must be numeric", id="text"),
+    pytest.param(["0.5", "0.5", "0.5"], "{} must be numeric", id="numeric-text"),
     pytest.param([0.5, np.nan, 0.5], "non-finite entries in {}", id="nan"),
 ])
 def test_array_edge_refuses_text_and_nan(edge, bad, message):

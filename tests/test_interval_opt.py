@@ -44,6 +44,9 @@ def test_sequence_validation():
                 (0.1, 0.3, 0.3, 0.9)]:
         with pytest.raises(LpInputError):
             IntervalSequence(bad)
+    for bad in (5, None):
+        with pytest.raises(LpInputError, match="points must be a sequence"):
+            IntervalSequence(bad)
 
 
 def test_reconstruct_matches_secretary_optimizer():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -587,6 +589,61 @@ def test_secretary_matches_coin_drawing_reference(p, trials):
         assert (got.trials, got.seed) == (want.trials, want.seed)
         assert got.estimate.hex() == want.estimate.hex()
         assert got.std_error.hex() == want.std_error.hex()
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1], ids=["0", "2^128-1"])
+def test_block_substream_is_a_slice_of_the_block_stream(seed):
+    # 10_000 trials end in a block of 1808; at n = 20, the second of two
+    # row ranges starts at row 904 and takes its coins at (1808 + 904) * 20
+    (block, bsz), n, a = list(_blocks(10_000))[-1], 20, 904
+    for offset in [*range(8), 4095, (bsz + a) * n]:
+        whole = online_sim._block_rng(seed, block).random(offset + 37)
+        part = online_sim._block_rng(seed, block, offset).random(37)
+        assert part.tobytes() == whole[offset:].tobytes(), offset
+
+
+@pytest.mark.parametrize("trials", [1, 4096, 3 * 4096 + 5])
+@pytest.mark.parametrize("p", [
+    np.r_[np.zeros(10), np.ones(20)], np.full(9, 0.5),
+    np.r_[np.zeros(5), np.full(5, 1 - 1e-13)], _ZERO_ONE[0],
+], ids=["threshold", "half", "near-one", "random0"])
+def test_secretary_is_invariant_to_the_worker_count(monkeypatch, p, trials):
+    # more workers than CPUs, and thread switches forced often
+    policy = _policy(p)
+    runs = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(online_sim, "_workers", lambda: workers)
+            rep = run_secretary(policy, trials, seed=5)
+            runs.add((rep.estimate.hex(), rep.std_error.hex()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("failing", [0, 2], ids=["calling-thread", "worker-thread"])
+def test_secretary_worker_exception_reaches_the_caller(monkeypatch, failing):
+    rows, threads = online_sim._secretary_rows, set()
+
+    def flaky(*args):
+        threads.add(threading.get_ident())
+        if args[-2] == failing:
+            raise RuntimeError(f"range {failing}")
+        return rows(*args)
+
+    monkeypatch.setattr(online_sim, "_workers", lambda: 3)
+    monkeypatch.setattr(online_sim, "_secretary_rows", flaky)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"range {failing}"):
+        run_secretary(_policy(np.full(9, 0.5)), 3 * 4096 + 5, seed=0)
+    assert len(threads) == 3
+    assert threading.active_count() == before
+    # the seed is checked before any thread starts
+    monkeypatch.setattr(online_sim, "_on_threads", None)
+    with pytest.raises(LpInputError, match="seed"):
+        run_secretary(_policy(np.full(9, 0.5)), 10, seed=-1)
 
 
 def test_policy_from_lp_optima_are_zero_one():

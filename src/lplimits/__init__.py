@@ -23,6 +23,8 @@ from .families import (
     build_ranking,
     build_secretary,
     build_toy,
+    ranking_triangular_closed_form,
+    ranking_triangular_value,
     threshold_policy_value,
     tight_solution_balance,
     tight_solution_ranking,

@@ -12,11 +12,10 @@ bit-reproducible.  Any stretch of a block's stream can be opened at its
 offset, so the secretary simulator splits each block into one contiguous
 row range per CPU, runs the ranges on threads, and gives the same bytes for
 any number of CPUs; each thread holds arrays for its own rows only, so the
-block arrays in memory do not grow with the thread count.  A run refills
-its block-sized arrays from block to block, and RANKING frees its draws
-only right before drawing the next block's: a block array freed earlier
-left a hole in the heap that small allocations could split, so the peak
-resident size of identical runs differed by a block array.  The secretary
+block arrays in memory do not grow with the thread count.  RANKING keeps
+its arrivals on the calling thread and fills the next block's key array on
+a second CPU meanwhile, drawing a few trials at a time.  A run allocates its
+block-sized arrays once and refills them from block to block.  The secretary
 simulator draws its acceptance coins only for a fractional policy, one with
 some 0 < p < 1; every other policy decides without them.
 """
@@ -35,6 +34,8 @@ from .lp_core import LpInputError, _as_floats, _as_int, check_feasibility
 
 TRIAL_BLOCK = 4096
 DEFAULT_TRIALS = 100_000
+# trials per RANKING draw and per match count: temporaries of a 64th of a block
+_CHUNK = 64
 
 
 def _as_seed(seed) -> int:
@@ -257,7 +258,15 @@ def run_ranking(instance: SimInstance, trials: int,
     and u's stable rank in its trial above that.  An arrival's least key is
     its free neighbor of least u, ties going to the lowest index.  A matched
     key becomes ``done = 1 << (top + s) | n``, above every live key; with no
-    free neighbor an arrival finds ``done`` and rewrites the dump row n.
+    free neighbor an arrival finds ``done`` and rewrites the dump row n.  A
+    trial's matching size is its count of ``done`` keys in rows below n,
+    counted once the block's arrivals are over.
+
+    Two key arrays take turns: while the calling thread runs block i's
+    arrivals on one, a second thread fills the other with block i + 1's
+    keys, drawing the block's stream a few trials at a time, so no block of
+    draws is held.  With one CPU the fill runs after the arrivals instead.
+    The arrivals stay on one thread, since each is a small GIL-bound gather.
     """
     if instance.b != 1:
         raise LpInputError("RANKING requires unit capacities (b = 1)")
@@ -268,31 +277,61 @@ def run_ranking(instance: SimInstance, trials: int,
     s = n.bit_length()
     top = 53 if 54 + s <= 64 else s
     done, mask = 1 << (top + s) | n, (1 << s) - 1
-    vertex = np.arange(n, dtype=np.uint64)[:, None]
     # a neighbor set of consecutive vertices is read as a slice, not gathered
     rows = [slice(nb[0] - 1, nb[-1]) if nb[-1] - nb[0] < len(nb)
             else np.array(nb) - 1 for nb in instance.arrivals if nb]
-    keys = np.empty((n + 1, min(trials, TRIAL_BLOCK)), dtype=np.uint64)
-    total = 0.0
-    total_sq = 0.0
-    for block, bsz in _blocks(trials):
+    vertex = np.arange(n, dtype=np.uint64)
+    width = min(trials, TRIAL_BLOCK)
+    keys = [np.empty((n + 1, width), dtype=np.uint64) for _ in range(2)]
+    cols = np.arange(width, dtype=np.uint64)
+    blocks = list(_blocks(trials))
+
+    def draw(i):
+        """Block i's keys, _CHUNK trials at a time: successive draws give the
+        bytes of one.  Each chunk's keys are made in its draws' own memory."""
+        block, bsz = blocks[i]
         rng = _block_rng(seed, block)
-        u = None    # frees the last block's draws just before these take their memory
-        u = rng.random((bsz, n))
-        live = keys[:, :bsz]
-        if top == 53:
-            np.multiply(u.T, 2.0**53, out=live[:n], casting="unsafe")
-        else:
-            np.put_along_axis(live[:n].T, np.argsort(u, axis=1, kind="stable"),
-                              vertex.T, axis=1)
-        live[:n] <<= s
-        live[:n] |= vertex
-        size = np.zeros(bsz, dtype=np.int64)
-        cols = np.arange(bsz)
+        for a in range(0, bsz, _CHUNK):
+            u = rng.random((min(_CHUNK, bsz - a), n))
+            key = u.view(np.uint64)
+            if top == 53:
+                # u * 2**53 is an integer: this is it shifted left by s, exactly
+                np.multiply(u, 2.0**(53 + s), out=key, casting="unsafe")
+            else:
+                np.put_along_axis(key, np.argsort(u, axis=1, kind="stable"),
+                                  vertex, axis=1)
+                key <<= s
+            key |= vertex
+            keys[i % 2][:n, a:a + len(u)] = key.T
+
+    def play(i):
+        """Block i's arrivals; returns each trial's matching size."""
+        bsz = blocks[i][1]
+        live, flat = keys[i % 2][:, :bsz], keys[i % 2].reshape(-1)
         for idx in rows:
             m = live[idx].min(axis=0)
-            size += m < done
-            live[m & mask, cols] = done
+            m &= mask       # the matched vertex, then its key's flat index
+            m *= width
+            m += cols[:bsz]
+            flat[m.view(np.int64)] = done
+        size = np.empty(bsz, dtype=np.int64)
+        step = 8 * _CHUNK   # n * step flags: the bytes of one chunk of draws
+        for a in range(0, bsz, step):
+            np.sum(live[:n, a:a + step] == done, axis=0, out=size[a:a + step])
+        return size
+
+    threaded = _workers() > 1
+    draw(0)
+    total = 0.0
+    total_sq = 0.0
+    for i in range(len(blocks)):
+        if i + 1 == len(blocks):
+            size = play(i)
+        elif threaded:
+            size = _on_threads(lambda w: draw(i + 1) if w else play(i), 2)[0]
+        else:
+            size = play(i)
+            draw(i + 1)
         total += float(size.sum())
         total_sq += float((size.astype(float) ** 2).sum())
     return _report(total, total_sq, trials, seed)

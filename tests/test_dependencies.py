@@ -75,6 +75,8 @@ def test_every_float_array_is_read_by_one_reader():
     # loads at startup; concurrent.futures would add to every import
     pytest.param("L.run_secretary(L.PolicyTable(3, [0.5] * 3, [True] * 3), 5000)",
                  {"concurrent"}, id="secretary-no-concurrent-futures"),
+    pytest.param("L.run_ranking(L.triangular_instance(5, 1), 3 * 4096 + 5)",
+                 {"concurrent"}, id="ranking-no-concurrent-futures"),
 ])
 def test_fresh_interpreter_loads_no_extra_library(call, absent):
     code = f"import sys, lplimits as L\n{call}\nprint(*sys.modules)"

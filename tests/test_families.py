@@ -12,6 +12,8 @@ from lplimits import (
     build_toy,
     best_threshold,
     check_feasibility,
+    ranking_triangular_closed_form,
+    ranking_triangular_value,
     solve,
     tight_solution_balance,
     tight_solution_ranking,
@@ -142,7 +144,8 @@ def test_tight_balance_oracle():
 def test_oracles_reject_sizes_past_the_cap():
     for oracle in (tight_value_toy, tight_value_balance, tight_value_ranking,
                    tight_solution_toy, tight_solution_balance,
-                   tight_solution_ranking, best_threshold):
+                   tight_solution_ranking, best_threshold,
+                   ranking_triangular_value, ranking_triangular_closed_form):
         for n in (0, ORACLE_SIZE_CAP + 1):
             with pytest.raises(LpInputError):
                 oracle(n)

@@ -21,6 +21,8 @@ from lplimits import (
     offline_optimum,
     planted_instance,
     policy_value,
+    ranking_triangular_closed_form,
+    ranking_triangular_value,
     run_balance,
     run_ranking,
     run_secretary,
@@ -450,6 +452,85 @@ def test_ranking_matches_exact_expectation(inst, exact):
     for seed in range(3):
         rep = run_ranking(inst, trials=20_000, seed=seed)
         assert abs(rep.estimate - float(exact)) <= 4 * rep.std_error
+
+
+def _triangular_dp_exact(n):
+    """ranking_triangular_value's DP in exact rationals: p[k] is the chance
+    that k bidders of the suffix are free."""
+    p, value = {n: Fraction(1)}, Fraction(0)
+    for s in range(n, 0, -1):
+        value += 1 - p.get(0, 0)
+        nxt = {0: p.get(0, 0)}
+        for k, w in p.items():
+            if k:
+                nxt[k - 1] = nxt.get(k - 1, 0) + w * Fraction(s - k + 1, s)
+                nxt[k - 2] = nxt.get(k - 2, 0) + w * Fraction(k - 1, s)
+        p = nxt
+    return value
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 20, 60])
+def test_triangular_dp_in_rationals_and_floats(n):
+    exact = _triangular_dp_exact(n)
+    if n < 8:   # all n! priority orders
+        assert exact == exact_ranking_value(triangular_instance(n, 1))
+    assert ranking_triangular_value(n) == pytest.approx(float(exact), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4000])
+def test_triangular_dp_meets_closed_form(n):
+    # n (1 - 1/e) + 1 - 2/e
+    assert ranking_triangular_value(n) == pytest.approx(
+        ranking_triangular_closed_form(n), rel=1e-14)
+
+
+def test_ranking_matches_triangular_value():
+    rep = run_ranking(triangular_instance(100, 1), 100_000, seed=1)
+    assert abs(rep.estimate - ranking_triangular_value(100)) <= 4 * rep.std_error
+
+
+@pytest.mark.parametrize("trials", [1, 4096, 3 * 4096 + 5])
+@pytest.mark.parametrize("inst", [
+    pytest.param(triangular_instance(30, 1), id="triangular-30"),
+    pytest.param(planted_instance(40, 1, seed=2), id="planted-40"),
+    pytest.param(EMPTY_ARRIVALS, id="empty-arrivals"),
+    pytest.param(_random_instance(1100, 300, 3, 1), id="ranks-1100"),
+])
+def test_ranking_is_invariant_to_the_cpu_count(monkeypatch, inst, trials):
+    # thread switches forced often, so the fill interleaves with the arrivals
+    ref = _ranking_reference(inst, trials, 3)
+    runs = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(online_sim, "_workers", lambda: workers)
+            rep = run_ranking(inst, trials, seed=3)
+            runs.add((rep.estimate.hex(), rep.std_error.hex()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == {(ref.estimate.hex(), ref.std_error.hex())}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ranking_fill_exception_reaches_the_caller(monkeypatch, workers):
+    threads = set()
+
+    class Failing(_CoarseGenerator):
+        def __init__(self, seed, block):
+            threads.add(threading.get_ident())
+            if block == 1:
+                raise RuntimeError("block 1")
+            super().__init__(seed, block)
+
+    monkeypatch.setattr(online_sim, "_workers", lambda: workers)
+    monkeypatch.setattr(online_sim, "_block_rng", Failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 1"):
+        run_ranking(triangular_instance(30, 1), 3 * 4096 + 5, seed=0)
+    # with two CPUs block 1 is drawn on a second thread
+    assert len(threads) == workers
+    assert threading.active_count() == before
 
 
 def test_ranking_triangular_near_limit():

@@ -10,6 +10,7 @@ import pytest
 
 from lplimits import (PolicyTable, planted_instance, run_ranking, run_secretary,
                       triangular_instance)
+from lplimits import online_sim
 from lplimits.online_sim import TRIAL_BLOCK
 
 TRIALS = 3 * TRIAL_BLOCK + 5
@@ -30,17 +31,22 @@ def _peak_blocks(run, n):
 @pytest.mark.parametrize("make", [lambda n: triangular_instance(n, 1),
                                   lambda n: planted_instance(n, 1, 3, seed=n)],
                          ids=["triangular", "planted"])
-def test_ranking_holds_two_block_arrays(make, n):
-    # the keys array serves every block, and a block's draws are freed before
-    # the next block's are drawn: never a third block array
+def test_ranking_holds_two_block_arrays(monkeypatch, make, n):
+    # two key arrays take turns for every block, one filled (on a second
+    # thread, with 2 CPUs) while the other plays; the draws come a few
+    # trials at a time, never a third block array
     inst = make(n)
-    assert _peak_blocks(lambda t: run_ranking(inst, t, seed=0), n) <= 2.2
+    for workers in (1, 2):
+        monkeypatch.setattr(online_sim, "_workers", lambda: workers)
+        peak = _peak_blocks(lambda t: run_ranking(inst, t, seed=0), n)
+        assert peak <= 2.2, (workers, peak)
 
 
 @pytest.mark.parametrize("n", [100, 200])
 def test_secretary_holds_one_set_of_block_arrays(n):
-    # quality, coins, their running maximum and two flag arrays (3.25 block
-    # arrays) serve every block; no block's arrays overlap the next block's
+    # quality, its running maximum (reused for the coins) and two flag arrays
+    # (2.25 block arrays) serve every block; no block's arrays overlap the
+    # next block's
     policy = PolicyTable(n=n, accept_prob=np.full(n, 0.5), reachable=np.ones(n, bool))
     assert _peak_blocks(lambda t: run_secretary(policy, t, seed=0), n) <= 3.3
 

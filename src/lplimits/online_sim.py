@@ -265,8 +265,9 @@ def run_ranking(instance: SimInstance, trials: int,
     Two key arrays take turns: while the calling thread runs block i's
     arrivals on one, a second thread fills the other with block i + 1's
     keys, drawing the block's stream a few trials at a time, so no block of
-    draws is held.  With one CPU the fill runs after the arrivals instead.
-    The arrivals stay on one thread, since each is a small GIL-bound gather.
+    draws is held.  With one CPU, or one block, a single key array serves
+    every block, refilled after each block's arrivals.  The arrivals stay
+    on one thread, since each is a small GIL-bound gather.
     """
     if instance.b != 1:
         raise LpInputError("RANKING requires unit capacities (b = 1)")
@@ -282,9 +283,11 @@ def run_ranking(instance: SimInstance, trials: int,
             else np.array(nb) - 1 for nb in instance.arrivals if nb]
     vertex = np.arange(n, dtype=np.uint64)
     width = min(trials, TRIAL_BLOCK)
-    keys = [np.empty((n + 1, width), dtype=np.uint64) for _ in range(2)]
-    cols = np.arange(width, dtype=np.uint64)
     blocks = list(_blocks(trials))
+    # a second key array only where a second thread fills it
+    keys = [np.empty((n + 1, width), dtype=np.uint64)
+            for _ in range(2 if _workers() > 1 and len(blocks) > 1 else 1)]
+    cols = np.arange(width, dtype=np.uint64)
 
     def draw(i):
         """Block i's keys, _CHUNK trials at a time: successive draws give the
@@ -302,12 +305,13 @@ def run_ranking(instance: SimInstance, trials: int,
                                   vertex, axis=1)
                 key <<= s
             key |= vertex
-            keys[i % 2][:n, a:a + len(u)] = key.T
+            keys[i % len(keys)][:n, a:a + len(u)] = key.T
 
     def play(i):
         """Block i's arrivals; returns each trial's matching size."""
         bsz = blocks[i][1]
-        live, flat = keys[i % 2][:, :bsz], keys[i % 2].reshape(-1)
+        own = keys[i % len(keys)]
+        live, flat = own[:, :bsz], own.reshape(-1)
         for idx in rows:
             m = live[idx].min(axis=0)
             m &= mask       # the matched vertex, then its key's flat index
@@ -320,18 +324,16 @@ def run_ranking(instance: SimInstance, trials: int,
             np.sum(live[:n, a:a + step] == done, axis=0, out=size[a:a + step])
         return size
 
-    threaded = _workers() > 1
     draw(0)
     total = 0.0
     total_sq = 0.0
     for i in range(len(blocks)):
-        if i + 1 == len(blocks):
-            size = play(i)
-        elif threaded:
+        if len(keys) == 2 and i + 1 < len(blocks):
             size = _on_threads(lambda w: draw(i + 1) if w else play(i), 2)[0]
         else:
             size = play(i)
-            draw(i + 1)
+            if i + 1 < len(blocks):
+                draw(i + 1)
         total += float(size.sum())
         total_sq += float((size.astype(float) ** 2).sum())
     return _report(total, total_sq, trials, seed)

@@ -22,7 +22,7 @@ from lplimits import (
     tight_value_ranking,
     tight_value_toy,
 )
-from lplimits.families import ORACLE_SIZE_CAP, SIMPLEX_SIZE_CAP
+from lplimits.families import ORACLE_SIZE_CAP, RANKING_DP_CAP, SIMPLEX_SIZE_CAP
 
 INV_E = 1.0 / np.e
 
@@ -149,6 +149,9 @@ def test_oracles_reject_sizes_past_the_cap():
         for n in (0, ORACLE_SIZE_CAP + 1):
             with pytest.raises(LpInputError):
                 oracle(n)
+    # the O(n^2) DP has a cap of its own
+    with pytest.raises(LpInputError):
+        ranking_triangular_value(RANKING_DP_CAP + 1)
 
 
 @pytest.mark.parametrize("n", list(range(1, 33)) + [64, 128, 256, 512])

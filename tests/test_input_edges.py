@@ -1,6 +1,7 @@
 """Every integer input goes through one check, ``lp_core._as_int``: a
-non-integer value is refused with LpInputError, and an integer-valued
-number or the decimal text of one gives the same result as the int.
+non-integer value or a bool is refused with LpInputError, and an
+integer-valued number or the decimal text of one gives the same result as
+the int.
 Every float parameter goes through ``lp_core._as_float``: a non-number,
 text included, is refused with LpInputError.  A tol also goes through
 ``lp_core._as_tol``, which refuses a NaN, infinite or negative value.
@@ -162,6 +163,15 @@ def test_integer_edge_refuses_a_fraction(edge):
     call, good = EDGES[edge]
     with pytest.raises(LpInputError, match="integer"):
         call(good + 0.5)
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_integer_edge_refuses_a_bool(edge):
+    # a bool is an int to Python, but True is not a size, a seed or a count
+    call, _ = EDGES[edge]
+    for bad in (True, False, np.True_, np.False_):
+        with pytest.raises(LpInputError, match="must be an integer, got"):
+            call(bad)
 
 
 @pytest.mark.parametrize("edge", EDGES)

@@ -583,6 +583,42 @@ def test_solution_bytes_pinned(kind, n):
     assert (sol.iterations, *digests) == SOLUTION_BYTES[kind, n]
 
 
+# Total pivots, and one sha256 over each solve's iterations (8 bytes,
+# little-endian), x.tobytes() and dual.tobytes() in order, of
+# solve(build_secretary(n)) for n = 1..200: the lp-small benchmark's solves.
+# Like SOLUTION_BYTES, the digest belongs to one numpy/LAPACK build; the
+# pivot count does not.
+SECRETARY_1_200 = (12743, "9d0b94f1e0dcba2583848a60ac1a8dea49e4a7118e268eca6ba523405cdd380a")
+
+
+def test_secretary_1_to_200_bytes_pinned():
+    digest, pivots = hashlib.sha256(), 0
+    for n in range(1, 201):
+        sol = solve(build_secretary(n))
+        assert sol.status == "optimal"
+        pivots += sol.iterations
+        digest.update(sol.iterations.to_bytes(8, "little"))
+        digest.update(sol.x.tobytes())
+        digest.update(sol.dual.tobytes())
+    assert (pivots, digest.hexdigest()) == SECRETARY_1_200
+
+
+@pytest.mark.parametrize("kind,n,pivots", [("toy", 64, 126), ("secretary", 64, 41)])
+def test_pivot_loop_calls_no_python_level_numpy_wrapper(monkeypatch, kind, n, pivots):
+    # _Tableau.run and _blocks call only ufuncs, ndarray methods and
+    # np.where; the tableau is built first, since its set-up may call anything
+    tab = _Tableau(FamilySpec(kind, n).build())
+    assert not tab.n_art   # phase 2 alone, as in solve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy's Python-level wrapper called in the pivot loop")
+
+    for name in ("outer", "diff", "flatnonzero", "argmin", "argmax"):
+        monkeypatch.setattr(np, name, refuse)
+    assert tab.run(tab.c_phase2, 10_000) == "optimal"
+    assert tab.iterations == pivots
+
+
 @pytest.mark.parametrize("idx, want", [
     pytest.param([7], [(7, 8)], id="single"),
     pytest.param(range(3, 40), [(3, 40)], id="contiguous"),

@@ -43,12 +43,16 @@ def test_ranking_holds_two_block_arrays(monkeypatch, make, n):
 
 
 @pytest.mark.parametrize("n", [100, 200])
-def test_secretary_holds_one_set_of_block_arrays(n):
+def test_secretary_holds_one_set_of_block_arrays(monkeypatch, n):
     # quality, its running maximum (reused for the coins) and two flag arrays
     # (2.25 block arrays) serve every block; no block's arrays overlap the
-    # next block's
+    # next block's.  The peak over 150 seeds was 2.274 with 1 CPU and 2.293
+    # with 2 (row ranges add a few per-thread temporaries)
     policy = PolicyTable(n=n, accept_prob=np.full(n, 0.5), reachable=np.ones(n, bool))
-    assert _peak_blocks(lambda t: run_secretary(policy, t, seed=0), n) <= 3.3
+    for workers in (1, 2):
+        monkeypatch.setattr(online_sim, "_workers", lambda: workers)
+        peak = _peak_blocks(lambda t: run_secretary(policy, t, seed=0), n)
+        assert peak <= 2.345, (workers, peak)
 
 
 @pytest.mark.parametrize("n", [100, 200])

@@ -21,7 +21,8 @@ from lplimits import (
     solve,
 )
 from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilySpec, best_threshold
-from lplimits.lp_core import _BLOCK_GAP, EQ, GE, LE, MAXIMIZE, MINIMIZE, _blocks, _Tableau
+from lplimits.lp_core import (_BLOCK_GAP, _UFUNC_BUFSIZE, EQ, GE, LE, MAXIMIZE, MINIMIZE,
+                              _blocks, _Tableau)
 
 
 SIGN = {LE: 1.0, GE: -1.0, EQ: 0.0}
@@ -128,14 +129,43 @@ def test_phase1_iteration_limit_is_reported():
     assert np.all((lp.var_lower <= sol.x) & (sol.x <= lp.var_upper))
 
 
-def test_singular_final_basis_is_an_input_error():
+def _singular_final_basis_lp():
     # The final basis holds x2 and row 2's slack, both nonzero only in
     # row 2, so the basis matrix of the re-solve is singular.
-    lp = box_lp(MAXIMIZE, [1.24, -2.18, -2.23],
-                [[6.2e9, 0.0, 0.0], [-4.2e8, 0.0, 0.0], [-7500.0, 0.0, 5.1e7]],
-                [LE, EQ, LE], [1.55e8, -1.05e7, -186.9], hi=np.ones(3))
+    return box_lp(MAXIMIZE, [1.24, -2.18, -2.23],
+                  [[6.2e9, 0.0, 0.0], [-4.2e8, 0.0, 0.0], [-7500.0, 0.0, 5.1e7]],
+                  [LE, EQ, LE], [1.55e8, -1.05e7, -186.9], hi=np.ones(3))
+
+
+def test_singular_final_basis_is_an_input_error():
     with pytest.raises(LpInputError, match="basis matrix is singular"):
-        solve(lp)
+        solve(_singular_final_basis_lp())
+
+
+@pytest.mark.parametrize("caller_bufsize", [np.getbufsize(), 4096], ids=["default", "4096"])
+@pytest.mark.parametrize("ending", ["optimal", "infeasible", "iteration_limit", "singular"])
+def test_pivot_loop_runs_under_the_small_ufunc_buffer(monkeypatch, caller_bufsize, ending):
+    # the loop runs under _UFUNC_BUFSIZE, and every ending of solve gives the
+    # caller back its own buffer size
+    seen, run = [], _Tableau.run
+    monkeypatch.setattr(_Tableau, "run", lambda tab, *args:
+                        seen.append(np.getbufsize()) or run(tab, *args))
+    equality = box_lp(MINIMIZE, [1.0, 2.0], [[1.0, 1.0]], [EQ], [1.0])  # phases 1 and 2
+    before = np.setbufsize(caller_bufsize)
+    try:
+        if ending == "singular":
+            with pytest.raises(LpInputError, match="basis matrix is singular"):
+                solve(_singular_final_basis_lp())
+        else:
+            lp, cap = {"optimal": (equality, None), "iteration_limit": (equality, 0),
+                       "infeasible": (box_lp(MINIMIZE, [1.0], [[1.0]], [GE], [2.0]), None)}[ending]
+            assert solve(lp, max_iterations=cap).status == ending
+        after = np.getbufsize()
+    finally:
+        np.setbufsize(before)
+    assert after == caller_bufsize
+    # phase 2 runs after an optimal phase 1 only
+    assert seen == [_UFUNC_BUFSIZE] * (1 if ending in ("infeasible", "iteration_limit") else 2)
 
 
 def test_solve_and_certify_form_each_product_once(monkeypatch):

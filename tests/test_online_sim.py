@@ -616,10 +616,23 @@ def test_policy_value_is_lp_objective_and_best_threshold(n):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_secretary_estimate_brackets_policy_value(seed):
+def test_secretary_estimate_brackets_policy_value(monkeypatch, seed):
+    # the simulators run at the caller's ufunc buffer size, not the small
+    # one the simplex sets for its pivot loop
+    caller, bufsizes, block_rng = threading.get_ident(), [], online_sim._block_rng
+    caller_bufsize = np.getbufsize()
+
+    def recording(*args):
+        if threading.get_ident() == caller:
+            bufsizes.append(np.getbufsize())
+        return block_rng(*args)
+
+    monkeypatch.setattr(online_sim, "_block_rng", recording)
     pol = secretary_policy_from_lp(solve(build_secretary(100)).x)
     rep = run_secretary(pol, trials=100_000, seed=seed)
     assert abs(rep.estimate - policy_value(pol)) <= 4 * rep.std_error
+    run_ranking(triangular_instance(30, 1), 3 * 4096 + 5, seed=seed)
+    assert bufsizes and set(bufsizes) == {caller_bufsize}
 
 
 def test_fractional_secretary_stream_pinned():

@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_kkt_check)
 
     p = sub.add_parser("interval-search", help="grid search over interval sequences")
-    p.add_argument("--k", type=int, required=True, choices=(1, 2))
+    p.add_argument("--k", type=int, required=True,
+                   choices=range(1, interval_opt.K_CAP + 1))
     p.add_argument("--resolution", type=float, required=True)
     p.add_argument("--min-sep", type=float, default=1e-2)
     p.add_argument("--json", action="store_true")

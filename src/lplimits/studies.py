@@ -89,7 +89,7 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     cross-checked against it to 1e-9.  Any non-optimal solve aborts the
     sweep.  Sizes must be positive and distinct.
     """
-    if kind not in LIMIT_TARGETS:
+    if not isinstance(kind, str) or kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
     try:
         sizes = sorted(_as_int(n, "sweep size") for n in sizes)

@@ -113,7 +113,7 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     R^k taken as exp(k log1p(-q)) so the rounding of R does not grow with k.
     The values are built in place: three arrays of n + 1 floats at the peak.
     """
-    if kind not in _ODE_RHS:
+    if not isinstance(kind, str) or kind not in _ODE_RHS:
         raise LpInputError(f"unknown ode kind {kind!r}")
     step = _as_float(step, "step")
     if not 0.0 < step <= 1e-2:

@@ -343,7 +343,7 @@ def test_simulate_instance_file(capsys, tmp_path):
                  id="seed-1.5"),
     pytest.param(("ode", "--kind", "balance", "--step", "x"), id="step-x"),
     pytest.param(("sweep", "--family", "nope", "--sizes", "4"), id="bad-choice"),
-    pytest.param(("interval-search", "--k", "3", "--resolution", "0.01"), id="k-3"),
+    pytest.param(("interval-search", "--k", "9", "--resolution", "0.01"), id="k-9"),
     pytest.param(("sweep", "--sizes", "4"), id="missing-family"),
     pytest.param(("vc-check", "--profile", "Nope", "--family", "toy:4"),
                  id="bad-profile"),

@@ -36,6 +36,7 @@ from lplimits import (
     search_best,
     secretary_policy_from_lp,
     solve,
+    sweep_family,
     triangular_instance,
 )
 from lplimits.interval_opt import GRID_CAP
@@ -257,7 +258,18 @@ def test_policy_table_refuses_non_numeric_probabilities(accept_prob):
 @pytest.mark.parametrize("K", [1, 2])
 @pytest.mark.parametrize("resolution", [1e-7, 5e-324, 1 / (GRID_CAP + 1)])
 def test_search_best_refuses_a_grid_past_its_cap(K, resolution):
-    # refused before any m x m table is allocated: at 1e-7 the tables alone
-    # would take hundreds of terabytes
+    # refused before the grid is allocated: at 1e-7 the search would form
+    # 5e13 pairs per interval
     with pytest.raises(LpInputError, match=f"more than GRID_CAP = {GRID_CAP}"):
         search_best(K, resolution, 1e-2)
+
+
+@pytest.mark.parametrize("call, kind", [
+    pytest.param(lambda kind: sweep_family(kind, [3]), ["toy"], id="sweep_family"),
+    pytest.param(lambda kind: integrate_tight_ode(kind, 1e-3), ["balance"],
+                 id="integrate_tight_ode"),
+])
+def test_unhashable_kind_is_an_unknown_kind(call, kind):
+    # a list cannot be a dict key; it is refused like any other unknown kind
+    with pytest.raises(LpInputError, match=r"unknown \w+ kind \["):
+        call(kind)

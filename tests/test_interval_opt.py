@@ -1,11 +1,13 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from lplimits import IntervalSequence, LpInputError, objective_g, reconstruct_u
-from lplimits.interval_opt import _pair_table, search_best
+from lplimits.interval_opt import K_CAP, search_best
 
 INV_E = 1.0 / math.e
 
@@ -141,6 +143,13 @@ def test_search_k2_pinned(resolution, min_sep, points, value, evaluated):
     assert res.grid_points_evaluated == evaluated
 
 
+def _pair_table(grid, min_sep):
+    """All (a, b) grid pairs with b - a >= min_sep, and a*ln(b/a) for each."""
+    a, b = grid[:, None], grid[None, :]
+    ok = (b - a) >= min_sep - 1e-12
+    return ok, np.where(ok, a * np.log(np.where(b > a, b / a, 1.0)), -np.inf)
+
+
 def _search_k2_loop(resolution, min_sep):
     """Reference K=2 search: the pair-by-pair scan with a backward
     suffix-maximum table, keeping the first strict improvement."""
@@ -183,6 +192,62 @@ def test_search_k2_matches_loop_reference(resolution, min_sep):
     assert res.grid_points_evaluated == evaluated
 
 
+def _search_combinations(K, resolution, min_sep):
+    """Reference search over every index combination of 2K grid points, with
+    _search_k2_loop's pair rule and start step; keeps the first strict
+    improvement.  Each gap is shifted down by its least admissible size, so
+    the combinations are drawn from a short range and then filtered."""
+    m = round(1.0 / resolution)
+    grid = np.arange(1, m + 1) / m
+    ok, val = _pair_table(grid, min_sep)
+    sep_steps = math.ceil(min_sep / resolution)
+    rows, cols = np.nonzero(ok)
+    pair_steps = int((cols - rows).min())
+    shift = np.cumsum([0] + [pair_steps - 1, sep_steps - 1] * K)[:2 * K]
+    best, best_pts, evaluated = -np.inf, None, 0
+    for combo in itertools.combinations(range(m - int(shift[-1])), 2 * K):
+        idx = [int(c + s) for c, s in zip(combo, shift)]
+        pairs = list(zip(idx[::2], idx[1::2]))
+        if not all(ok[a, b] for a, b in pairs):
+            continue
+        evaluated += 1
+        total = 0.0
+        for a, b in reversed(pairs):
+            total = val[a, b] + (grid[a] / grid[b]) * total
+        if total > best:
+            best, best_pts = total, tuple(float(grid[i]) for i in idx)
+    return best_pts, best, evaluated
+
+
+def test_search_k3_matches_combinations():
+    points, value, evaluated = _search_combinations(3, 1e-2, 0.16)
+    res = search_best(3, 1e-2, 0.16)
+    assert res.grid_points_evaluated == evaluated
+    assert res.best_value == pytest.approx(value, abs=1e-15)
+    assert objective_g(res.best_s) == pytest.approx(res.best_value, abs=1e-15)
+    assert objective_g(IntervalSequence(points)) == pytest.approx(value, abs=1e-15)
+
+
+def test_search_values_fall_with_k():
+    # extra intervals never beat the single interval (1/e, 1]
+    values = [search_best(K, 1e-3, 1e-2).best_value for K in range(1, 5)]
+    assert values == pytest.approx(
+        [0.367879441, 0.367611397, 0.367084200, 0.366307454], abs=5e-10)
+    assert all(v < INV_E for v in values[1:])
+    assert all(x >= y for x, y in zip(values, values[1:]))
+
+
+def test_search_memory_grows_with_the_grid_not_its_square():
+    # m = 4096: an m x m float table alone would take 134 MB
+    tracemalloc.start()
+    try:
+        search_best(2, 1 / 4096, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 def test_k1_increasing_in_b():
     # for fixed a below 1/e, g grows with the right endpoint
     for a in (0.05, 0.15, 0.25, 0.35):
@@ -192,8 +257,9 @@ def test_k1_increasing_in_b():
 
 
 def test_search_validation():
-    with pytest.raises(LpInputError):
-        search_best(3, 1e-2, 1e-2)
+    for K in (0, K_CAP + 1):
+        with pytest.raises(LpInputError, match="K must be in"):
+            search_best(K, 1e-2, 1e-2)
     with pytest.raises(LpInputError):
         search_best(1, 0.05, 0.05)
     with pytest.raises(LpInputError):

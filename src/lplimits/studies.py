@@ -91,6 +91,8 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     """
     if not isinstance(kind, str) or kind not in LIMIT_TARGETS:
         raise LpInputError(f"unknown family kind {kind!r}")
+    if isinstance(sizes, (str, bytes)):   # iterating text gives its characters
+        raise LpInputError(f"sizes must be a sequence of integers, got {sizes!r}")
     try:
         sizes = sorted(_as_int(n, "sweep size") for n in sizes)
     except TypeError:
@@ -106,6 +108,8 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
 def limit_estimate(table: SweepTable) -> LimitFit:
     """Least-squares fit of value(n) ~ L + C/n over the largest half of the
     swept sizes; the error bar is the max residual of the fit."""
+    if not isinstance(table, SweepTable):
+        raise LpInputError(f"table must be a SweepTable, got {type(table).__name__}")
     if len(table.rows) < 3:
         raise LpInputError("limit extrapolation needs at least 3 rows")
     ns = table.sizes

@@ -9,7 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .families import INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec, _geometric
+from .families import (_CHUNK, INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec,
+                       _geometric)
 from .lp_core import LpInputError, _as_float, _as_floats, _as_tol, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
@@ -46,13 +47,14 @@ def _balance_v(t):
 
 
 def _secretary_u(t):
-    vals = 1.0 - INV_E / np.where(t > 0, t, 1.0)
-    return np.where(t > INV_E, vals, 0.0)
+    vals = np.where(t > INV_E, t, INV_E)   # INV_E / INV_E is exactly 1
+    np.divide(INV_E, vals, out=vals)
+    return np.subtract(1.0, vals, out=vals)
 
 
 def _secretary_g(t):
-    vals = INV_E / np.where(t > 0, t, 1.0)
-    return np.where(t > INV_E, vals, 0.0)  # 0 at the threshold: left-closed
+    vals = np.where(t > INV_E, t, np.inf)  # 0 at the threshold: left-closed
+    return np.divide(INV_E, vals, out=vals)
 
 
 TOY_G = ContinuumProfile("ToyG", _exp_neg, family="toy")
@@ -111,7 +113,8 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     distance to that line by R = 1 - q, q = h - h^2/2 + h^3/6 - h^4/24: the
     RK4 iterates are y_k = alpha + beta (t_k - 1) + (beta - alpha) R^k, with
     R^k taken as exp(k log1p(-q)) so the rounding of R does not grow with k.
-    The values are built in place: three arrays of n + 1 floats at the peak.
+    The values are built in place on the R^k array, one ``_CHUNK`` at a
+    time: two arrays of n + 1 floats and one chunk at the peak.
     """
     if not isinstance(kind, str) or kind not in _ODE_RHS:
         raise LpInputError(f"unknown ode kind {kind!r}")
@@ -127,12 +130,15 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     h = 1.0 / n
     q = h * (1.0 - h / 2 * (1.0 - h / 3 * (1.0 - h / 4)))
     ts = np.linspace(0.0, 1.0, n + 1)
-    ys = ts - 1.0
-    ys *= beta
-    ys += alpha
-    decay = _geometric(0, n + 1, np.log1p(-q))
-    decay *= beta - alpha
-    ys += decay
+    ys = _geometric(0, n + 1, np.log1p(-q))
+    line = np.empty(min(n + 1, _CHUNK))
+    for a in range(0, n + 1, _CHUNK):
+        chunk = ys[a:a + _CHUNK]
+        head = np.subtract(ts[a:a + _CHUNK], 1.0, out=line[:chunk.size])
+        head *= beta
+        head += alpha
+        chunk *= beta - alpha
+        chunk += head
     return OdeTrajectory(kind=kind, ts=ts, values=ys)
 
 
@@ -160,6 +166,8 @@ def discretize_profile(profile, family: FamilySpec):
     A size past the cap of ``family.operator()`` is refused before g is
     sampled.
     """
+    if not isinstance(family, FamilySpec):
+        raise LpInputError(f"family must be a FamilySpec, got {type(family).__name__}")
     n = family.size
     if isinstance(profile, ContinuumProfile):
         if profile.family is None:
@@ -283,23 +291,30 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     Every value is computed in place, in the order the formulas give: besides
     the four result arrays, one scratch array holds the slopes, then the
     centred steps, then each residual, and d(mu2)/dt's array becomes v^2.
+    The slopes, mu1 and mu2, and the residuals with their minima and squash
+    run over ``_CHUNK``-sized pieces, each finished while it is in cache;
+    the finite differences run over whole runs, where chunking measured no
+    faster.  The bytes are those of the whole-array formulas.
     """
     t, u = _as_floats(grid, "grid"), _as_floats(u_candidate, "u_candidate")
     if t.ndim != 1 or t.size < 3 or u.shape != t.shape:
         raise LpInputError("grid and candidate must be equal-length 1-d arrays")
     slope_in = np.empty_like(u)
-    dt = np.subtract(t[1:], t[:-1], out=slope_in[1:])
-    if t[0] <= 0.0 or t[-1] > 1.0 or np.any(dt <= 0):
+    bounds = [(a, min(a + _CHUNK, t.size)) for a in range(1, t.size, _CHUNK)]
+    if t[0] <= 0.0 or t[-1] > 1.0 or any(
+            np.any(np.subtract(t[a:e], t[a - 1:e - 1], out=slope_in[a:e]) <= 0)
+            for a, e in bounds):
         raise LpInputError("grid must be strictly increasing within (0, 1]")
     tol = _as_tol(tol)
-    du = np.diff(u)
-    if np.any(du < -1e-12):
-        raise LpInputError("u_candidate must be non-decreasing")
 
     # classify by the left-sided slope so a kink never smears into the flat
     # side; the first point uses its right-sided slope
-    np.divide(du, dt, out=dt)
-    del du
+    du = np.empty(min(t.size - 1, _CHUNK))
+    for a, e in bounds:
+        step = np.subtract(u[a:e], u[a - 1:e - 1], out=du[:e - a])
+        if np.any(step < -1e-12):
+            raise LpInputError("u_candidate must be non-decreasing")
+        np.divide(step, slope_in[a:e], out=slope_in[a:e])
     slope_in[0] = slope_in[1]
     active = slope_in > ACTIVITY_THRESHOLD
     inactive = ~active
@@ -313,13 +328,17 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     np.subtract(t[2:], t[:-2], out=scratch[1:-1])
     w_sq = _segment_derivative(t, u, runs, scratch)   # w^2 = du/dt
 
-    mu1 = np.log(t)
-    np.negative(mu1, out=mu1)
-    mu1 -= 1.0
-    mu1[inactive] = 0.0
-    mu2 = np.add(1.0, mu1)
-    mu2 *= t
-    mu2[inactive] = 0.0
+    mu1, mu2 = np.empty_like(t), np.empty_like(t)
+    for a in range(0, t.size, _CHUNK):
+        part = slice(a, a + _CHUNK)
+        ts, off = t[part], inactive[part]
+        m1 = np.log(ts, out=mu1[part])
+        np.negative(m1, out=m1)
+        m1 -= 1.0
+        np.copyto(m1, 0.0, where=off)
+        m2 = np.add(1.0, m1, out=mu2[part])
+        m2 *= ts
+        np.copyto(m2, 0.0, where=off)
     for a, b in runs:
         if active[a]:
             continue
@@ -329,22 +348,32 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
             mu2[a:b + 1] = mu2[b + 1]   # lead-in: match ahead
 
     stat = _segment_derivative(t, mu2, runs, scratch)   # d(mu2)/dt
-    stat -= mu1
-    res_stat = float(np.abs(stat, out=stat).max())
-    v_sq = np.subtract(1.0, u, out=stat)
-    v_sq -= np.multiply(w_sq, t, out=scratch)
-    slack = np.multiply(v_sq, mu1, out=scratch)
-    res_slack = float(np.abs(slack, out=slack).max())
-    drive = np.add(1.0, mu1, out=scratch)
-    drive *= t
-    np.subtract(mu2, drive, out=drive)
-    drive *= w_sq
-    res_drive = float(np.abs(drive, out=drive).max())
-    min_v, min_w = float(v_sq.min()), float(w_sq.min())
-    # tiny FD negatives within tolerance are squashed so the stored fields
-    # really are squares; the report keeps the raw minima
-    v_sq[(v_sq < 0) & (v_sq >= -tol)] = 0.0
-    w_sq[(w_sq < 0) & (w_sq >= -tol)] = 0.0
+    # the residuals, minima and squash, one chunk at a time: each chunk of
+    # d(mu2)/dt becomes v^2 once its residual is taken; a row of extremes
+    # per chunk holds the three max |residual|, min v^2 and min w^2
+    v_sq = stat
+    extremes = np.empty((5, -(-t.size // _CHUNK)))
+    for i, a in enumerate(range(0, t.size, _CHUNK)):
+        part = slice(a, a + _CHUNK)
+        v, w, m1, ts = v_sq[part], w_sq[part], mu1[part], t[part]
+        v -= m1
+        extremes[0, i] = np.abs(v, out=v).max()
+        np.subtract(1.0, u[part], out=v)
+        v -= np.multiply(w, ts, out=scratch[part])
+        slack = np.multiply(v, m1, out=scratch[part])
+        extremes[1, i] = np.abs(slack, out=slack).max()
+        drive = np.add(1.0, m1, out=scratch[part])
+        drive *= ts
+        np.subtract(mu2[part], drive, out=drive)
+        drive *= w
+        extremes[2, i] = np.abs(drive, out=drive).max()
+        extremes[3, i], extremes[4, i] = v.min(), w.min()
+        # tiny FD negatives within tolerance are squashed so the stored
+        # fields really are squares; the report keeps the raw minima
+        np.copyto(v, 0.0, where=(v < 0) & (v >= -tol))
+        np.copyto(w, 0.0, where=(w < 0) & (w >= -tol))
+    res_stat, res_slack, res_drive = extremes[:3].max(axis=1).tolist()
+    min_v, min_w = extremes[3:].min(axis=1).tolist()
 
     profile = MultiplierProfile(w_sq=w_sq, v_sq=v_sq, mu1=mu1, mu2=mu2)
     report = MultiplierReport(residual_stationarity=res_stat,

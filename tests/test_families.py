@@ -22,7 +22,8 @@ from lplimits import (
     tight_value_ranking,
     tight_value_toy,
 )
-from lplimits.families import ORACLE_SIZE_CAP, RANKING_DP_CAP, SIMPLEX_SIZE_CAP
+from lplimits.families import (_CHUNK, ORACLE_SIZE_CAP, RANKING_DP_CAP, SIMPLEX_SIZE_CAP,
+                               _geometric)
 
 INV_E = 1.0 / np.e
 
@@ -227,6 +228,21 @@ def test_oracle_solution_builds_in_one_array(oracle):
         tracemalloc.stop()
     assert x.shape == (n,)
     assert peak <= 1.1 * 8 * n
+
+
+@pytest.mark.parametrize("n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_oracles_match_the_one_array_formula_across_chunks(n):
+    # the chunked fill gives the bytes of exp(k log q) over one arange
+    def one_array(first, n, log_q):
+        return np.exp(np.arange(first, first + n, dtype=float) * log_q)
+
+    for first, log_q in ((0, -1.0 / 3), (1, -2e-6), (5, -40.0)):
+        assert _geometric(first, n, log_q).tobytes() == one_array(first, n, log_q).tobytes()
+    ranking = one_array(1, n, np.log(n) - np.log(n + 1))
+    assert tight_solution_ranking(n).tobytes() == ranking.tobytes()
+    toy = one_array(0, n, np.log1p(-1.0 / n)) if n > 1 else np.ones(1)
+    assert tight_solution_toy(n).tobytes() == toy.tobytes()
+    assert tight_solution_balance(n).tobytes() == (toy / n).tobytes()
 
 
 def test_family_spec_rejects_non_integer_size():

@@ -25,6 +25,7 @@ from lplimits import (
     eval_profile,
     families,
     integrate_tight_ode,
+    limit_estimate,
     load_lp,
     lp_core,
     multiplier_check,
@@ -273,3 +274,24 @@ def test_unhashable_kind_is_an_unknown_kind(call, kind):
     # a list cannot be a dict key; it is refused like any other unknown kind
     with pytest.raises(LpInputError, match=r"unknown \w+ kind \["):
         call(kind)
+
+
+@pytest.mark.parametrize("sizes", ["34", b"34", ""])
+def test_sweep_refuses_text_sizes(sizes):
+    # iterating "34" would give the sizes 3 and 4
+    with pytest.raises(LpInputError, match="sizes must be a sequence of integers"):
+        sweep_family("toy", sizes)
+
+
+@pytest.mark.parametrize("family", ["toy:4", None, ("toy", 4)])
+def test_discretize_refuses_a_family_that_is_not_a_spec(family):
+    with pytest.raises(LpInputError, match="family must be a FamilySpec"):
+        discretize_profile(RANKING_G, family)
+    with pytest.raises(LpInputError, match="family must be a FamilySpec"):
+        discretize_profile("ToyG", family)
+
+
+@pytest.mark.parametrize("table", [None, [], {"rows": [1, 2, 3]}])
+def test_limit_estimate_refuses_a_table_that_is_not_a_sweep(table):
+    with pytest.raises(LpInputError, match="table must be a SweepTable"):
+        limit_estimate(table)

@@ -45,6 +45,34 @@ def test_profile_values():
     assert eval_profile("ToyG", 0.3) == pytest.approx(math.exp(-0.3))
 
 
+@pytest.mark.parametrize("t", [
+    np.array([0.0, variational.INV_E, np.nextafter(variational.INV_E, 1.0), 0.5, 1.0]),
+    np.linspace(0.0, 1.0, 100_001),
+], ids=["edges", "linspace"])
+def test_secretary_profiles_match_the_two_where_formula(t):
+    # one where and in-place arithmetic give the bytes of the first formula
+    inv_e = variational.INV_E
+    safe = np.where(t > 0, t, 1.0)
+    u = np.where(t > inv_e, 1.0 - inv_e / safe, 0.0)
+    g = np.where(t > inv_e, inv_e / safe, 0.0)
+    assert SECRETARY_U(t).tobytes() == u.tobytes()
+    assert SECRETARY_G(t).tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("profile", [SECRETARY_U, SECRETARY_G], ids=lambda p: p.tag)
+def test_secretary_profiles_build_in_one_array(profile):
+    # the result and the t > 1/e mask: no second n-float temporary
+    t = np.arange(1, 10**6 + 1) / 10**6
+    profile(t[:8])   # first-call allocations are not the profile's
+    tracemalloc.start()
+    try:
+        profile(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * t.nbytes
+
+
 def test_profile_domain_and_bounds():
     with pytest.raises(LpInputError):
         eval_profile("ToyG", -0.1)
@@ -534,6 +562,33 @@ def _multiplier_cases():
     t = np.unique(rng.random(5000))
     t = t[t > 0]
     yield t, np.cumsum(rng.random(t.size) * (rng.random(t.size) < 0.5)) * 1e-3
+
+
+def test_multiplier_check_matches_reference_across_chunks():
+    # a grid of 2 chunks and a part, its activity runs crossing chunk
+    # boundaries: a lead-in, a run longer than a chunk, a singleton, a
+    # two-point run on the second boundary and a run to the end
+    C = variational._CHUNK
+    n = 2 * C + 777
+    rng = np.random.default_rng(30)
+    t = np.cumsum(rng.uniform(0.5, 1.5, n))
+    t /= t[-1]
+    rise = np.zeros(n)
+    for a, b in ((1000, C + 1500), (C + 1502, C + 1503), (2 * C - 1, 2 * C + 1),
+                 (2 * C + 50, n)):
+        rise[a:b] = rng.uniform(0.5, 1.5, b - a) * 1e-7
+    u = np.cumsum(rise)
+    prof, rep = multiplier_check(t, u, tol=1e-6)
+    arrays, residuals = _multiplier_reference(t, u, 1e-6)
+    starts = np.flatnonzero(np.diff(rep.active, prepend=~rep.active[0])).tolist()
+    assert starts == [0, 1000, C + 1500, C + 1502, C + 1503, 2 * C - 1, 2 * C + 1,
+                      2 * C + 50]
+    got = (prof.w_sq, prof.v_sq, prof.mu1, prof.mu2, rep.active)
+    for a, b in zip(got, arrays):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    got = [rep.residual_stationarity, rep.residual_slack, rep.residual_drive,
+           rep.min_v_sq, rep.min_w_sq]
+    assert [v.hex() for v in got] == [float(r).hex() for r in residuals]
 
 
 def test_multiplier_check_matches_reference_bytes():

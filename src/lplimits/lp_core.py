@@ -4,10 +4,17 @@ The solver is a primal simplex on the bounded-variable standard form: every
 structural variable carries finite lower/upper bounds, nonbasic variables sit
 at one of their bounds, and a ratio test allows bound flips in addition to
 basis exchanges.  The entering variable has the most negative reduced cost
-(Dantzig's rule), except after a degenerate basis exchange, where it has the
-lowest improving index (Bland's rule); the leaving variable is chosen by
-Bland's rule.  Every solve is deterministic, and none can cycle: a cycle
-consists only of degenerate steps, so each of its steps would be a Bland step.
+(Dantzig's rule), ties going to the highest index, except after a degenerate
+basis exchange, where it has the lowest improving index (Bland's rule); the
+leaving variable is chosen by Bland's rule.  Every solve is deterministic,
+and none can cycle: a cycle consists only of degenerate steps, so each of its
+steps would be a Bland step, whichever way Dantzig's ties go.
+
+Dantzig's ties go to the highest index for the toy family's sake.  At its
+start corner x = 1 every reduced cost ties.  The lowest index, x_1, would
+enter against its tight row x_1 >= x_2: a degenerate exchange, which a Bland
+step then follows, so toy took 2n - 2 pivots.  x_n enters first instead,
+and toy takes n.
 
 No LP here has an improving ray: every structural bound is finite, and a
 slack moves only when the structurals do (``_Tableau.run`` has the argument).
@@ -38,17 +45,18 @@ replacement computes the same values in the same order.
 On large LPs a pivot costs more in copies than in arithmetic.  An update
 block ``T[a:b, c0:c1]`` is a strided 2-D view, so numpy's ufuncs do not take
 their contiguous fast path on it: they copy the operands through the ufunc
-buffer, 8192 elements by default.  On toy:512, some 46,000 entries a pivot,
-the update took about 5 ns per entry, ten times numpy's time for a
+buffer, 8192 elements by default.  On toy:512, some 88,000 entries a pivot,
+the update took 2.4 to 3.2 ns per entry, several times numpy's time for a
 contiguous subtract.  On a (172, 257) block of a 512 x 1024 array the
 subtract took 68 us under the default buffer and 36 us under a 16-element
 one, against 18 us on a contiguous array, and the whole update 116 and
 65 us (numpy 2.4, 2 vCPUs).  So ``solve`` runs the pivot loop under
 ``_UFUNC_BUFSIZE`` and gives the caller its own size back on every exit;
-toy:512's update fell from 211 to 154 us a pivot.  The buffer decides only
-how numpy walks the operands, not which values it computes, so every value
-is the same.  It is set for the simplex alone: under it, ``run_ranking``
-ran 13 % slower on one thread.
+toy:512's update took 212 to 286 us a pivot under the default buffer and
+110 to 121 us under this one (four alternating runs each).  The buffer
+decides only how numpy walks the operands, not which values it computes, so
+every value is the same.  It is set for the simplex alone: under it,
+``run_ranking`` ran 13 % slower on one thread.
 
 The tableau is never copied, and it is dropped before the final re-solve
 from the m x m basis matrix.  So a solve's peak memory is the larger of the
@@ -305,6 +313,13 @@ def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> Certificate
     The duals are in the caller's sense: for maximization, binding <= rows
     carry nonnegative multipliers (shadow prices), and symmetrically for
     minimization.  Reduced costs d = c - A^T y split against the box bounds.
+
+    The dual objective and reduced costs are formed from y projected onto
+    its sign cone, each wrong-signed multiplier set to 0, so the dual point
+    is feasible and its objective a true bound.  A wrong sign within tol
+    would otherwise pass: on a badly scaled LP a multiplier of -2.6e-11 on
+    a >= row can hide a reduced cost of -6.8 and a gap of 680.  The dual
+    feasibility and row complementarity are those of y as given.
     """
     tol = _as_tol(tol)
     if sol.status != "optimal":
@@ -315,16 +330,18 @@ def certify(lp: LpHeader, sol: LpSolution, tol: float = CERT_TOL) -> Certificate
     feas, r = _feasibility(lp, x, tol)
     primal_obj = float(lp.objective @ x)
     sgn = 1.0 if lp.sense == MINIMIZE else -1.0
-    d_int = sgn * (lp.objective - lp.rmatvec(y))  # internal-min reduced costs
+    # sign feasibility of row multipliers: internal-min <= rows carry y <= 0,
+    # >= rows y >= 0, so sign * y_int must not be positive
+    wrong_sign = lp.sign * (sgn * y)
+    y_cone = np.where(wrong_sign > 0, 0.0, y)
+    d_int = sgn * (lp.objective - lp.rmatvec(y_cone))  # internal-min reduced costs
     pos = np.maximum(d_int, 0.0)
     neg = np.maximum(-d_int, 0.0)
     # internal-min dual objective, mapped back to the caller's sense
     bound_part = float(lp.var_lower @ pos - lp.var_upper @ neg)
-    dual_obj = sgn * float(lp.rhs @ (sgn * y)) + sgn * bound_part
-    # sign feasibility of row multipliers: internal-min <= rows carry y <= 0,
-    # >= rows y >= 0, so sign * y_int must not be positive (the outer max
-    # turns a -0.0 from an equality row into 0.0)
-    dual_infeas = max(0.0, float(np.max(lp.sign * (sgn * y), initial=0.0)))
+    dual_obj = sgn * float(lp.rhs @ (sgn * y_cone)) + sgn * bound_part
+    # the outer max turns a -0.0 from an equality row into 0.0
+    dual_infeas = max(0.0, float(np.max(wrong_sign, initial=0.0)))
     comp_rows = np.abs(y * r)
     comp_bounds = np.maximum(pos * np.abs(x - lp.var_lower),
                              neg * np.abs(lp.var_upper - x))
@@ -433,11 +450,19 @@ class _Tableau:
         """Primal simplex until optimal for objective c.
 
         The entering column has the most negative ``dirn * d`` (Dantzig),
-        ties to the lowest index; after a degenerate basis exchange (a step
-        of at most 1e-12) it is the lowest improving index instead (Bland).
-        Each call starts with Dantzig, and a bound flip, whose step is the
-        positive span, returns to it.  Leaving-row ties go to the lowest
-        basic index.
+        ties to the highest index, so that toy's x_n enters first (see the
+        module docstring); after a degenerate basis exchange (a step of at
+        most 1e-12) it is the lowest improving index instead (Bland), which
+        is what rules out cycling.  Each call starts with Dantzig, and a
+        bound flip, whose step is the positive span, returns to it.
+        Leaving-row ties go to the lowest basic index.
+
+        ``dirn * d`` is formed last column first, from reversed views of the
+        two, into one buffer made per call, so ``argmin``'s first minimum is
+        the highest tied index.  That costs 100 to 150 ns a pivot more than
+        a new product in column order, about 0.3 % of a secretary pivot;
+        holding ``d`` reversed instead would make its update read the pivot
+        row backwards, which costs more than it saves.
 
         Variables whose bounds coincide (fixed structurals, and artificials
         pinned after phase 1) get ``dirn`` 0 on entry and never enter.  A
@@ -464,11 +489,19 @@ class _Tableau:
         d[basis] = 0.0
         span = hi - lo
         dirn[span == 0.0] = 0.0
+        # score_rev is dirn * d last column first (see above); score reads it
+        # in column order
+        dirn_rev, d_rev, last = dirn[::-1], d[::-1], self.N - 1
+        score_rev = np.empty(self.N)
+        score = score_rev[::-1]
         degenerate = False  # was the last step a degenerate basis exchange?
         while True:
-            score = dirn * d
+            np.multiply(dirn_rev, d_rev, score_rev)
             # Bland (lowest index) after a degenerate exchange, else Dantzig
-            q = int((score < -REDCOST_TOL).argmax() if degenerate else score.argmin())
+            if degenerate:
+                q = int((score < -REDCOST_TOL).argmax())
+            else:
+                q = last - int(score_rev.argmin())
             if not score[q] < -REDCOST_TOL:
                 return "optimal"
             if self.iterations >= max_iterations:

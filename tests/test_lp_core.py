@@ -404,6 +404,34 @@ def test_degenerate_cycling_instance_terminates():
     assert certify(lp, sol).passed
 
 
+def _tied_start_lp():
+    # minimize -x0 - 3 x1 - 3 x2 subject to x2 - x1 <= 0, x in [0, 1]^3.  At
+    # the start corner x = 0, x1 and x2 tie at reduced cost -3, and the row
+    # is tight, so x2 entering is a degenerate exchange.  It leaves reduced
+    # costs -1 on x0 and -6 on x1: Bland's rule then enters x0, the lowest
+    # improving index, where Dantzig's would enter x1.
+    return box_lp(MINIMIZE, [-1.0, -3.0, -3.0], [[0.0, -1.0, 1.0]], [LE], [0.0])
+
+
+def test_dantzig_ties_enter_the_highest_index():
+    tab = _Tableau(_tied_start_lp())
+    assert tab.N == 4 and tab.basis.tolist() == [3]   # x0..x2 and row 0's slack
+    assert tab.run(tab.c_phase2, max_iterations=1) == "iteration_limit"
+    assert tab.basis.tolist() == [2]
+    assert tab.dirn.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+
+def test_bland_step_follows_a_degenerate_exchange():
+    lp = _tied_start_lp()
+    tab = _Tableau(lp)
+    assert tab.run(tab.c_phase2, max_iterations=2) == "iteration_limit"
+    assert tab.basis.tolist() == [2]
+    assert tab.dirn.tolist() == [-1.0, 1.0, 0.0, 1.0]   # x0 flipped to its upper bound
+    sol = solve(lp)
+    assert sol.status == "optimal" and np.array_equal(sol.x, [1.0, 1.0, 1.0])
+    assert certify(lp, sol).passed
+
+
 def test_badly_scaled_column_is_not_unbounded():
     # the entering slack's only tableau entry is -1e-11, below an absolute
     # PIVOT_TOL; the column-relative tolerance still lets it limit the step
@@ -416,6 +444,24 @@ def test_badly_scaled_column_is_not_unbounded():
     ref, ref_value = highs(lp)
     assert ref.status == 0
     assert sol.objective_value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_certify_refuses_a_wrong_signed_dual_within_tol():
+    # solve stops at x0 = 1.6e-8: raising row 1's surplus raises x0 at only
+    # 1 / 2.6e11 per unit, so its reduced cost, -2.6e-11, is above
+    # -REDCOST_TOL.  x0 = 100 is feasible with value -680.  Row 1's
+    # multiplier, -2.6e-11 on a >= row of a minimization, is wrong-signed
+    # within tol; projected to 0, it leaves x0 a reduced cost of -6.8 at its
+    # lower bound, and the gap is 680.
+    lp = box_lp(MINIMIZE, [-6.8, -0.16], [[0.0, 7.1e6], [2.6e11, 5.8e6]], [LE, GE],
+                [1000.0, 5000.0], hi=[100.0, 1.0])
+    sol = solve(lp)
+    assert sol.status == "optimal" and sol.x[0] < 1e-7
+    assert check_feasibility(lp, [100.0, 0.0]).ok
+    report = certify(lp, sol)
+    assert report.dual_feasibility == pytest.approx(2.6e-11, rel=0.01)
+    assert report.gap == pytest.approx(680.0, rel=1e-6)
+    assert not report.passed
 
 
 # LPs where no row that passes the PIVOT_TOL filter stops an infinite step,
@@ -475,11 +521,14 @@ def test_dump_load_roundtrip(tmp_path):
     assert solve(lp2).objective_value == solve(lp).objective_value
 
 
-# Pivot counts of every family under Dantzig's entering rule with Bland's
-# rule after a degenerate exchange; a hot-path change that alters one
-# entering or leaving choice changes these.
+# Pivot counts of every family under Dantzig's entering rule (ties to the
+# highest index) with Bland's rule after a degenerate exchange; a hot-path
+# change that alters one entering or leaving choice changes these.  Toy
+# takes exactly n pivots, one per variable: at its start corner every
+# reduced cost ties, x_n, ..., x_2 enter in turn, and only the last, x_1's,
+# is a degenerate exchange.
 PIVOTS = {
-    "toy": [1, 2, 4, 12, 30, 126, 254, 510],
+    "toy": [1, 2, 3, 7, 16, 64, 128, 256],
     "balance": [0, 1, 2, 6, 15, 63, 127, 255],
     "ranking": [1, 2, 3, 7, 16, 64, 128, 256],
     "secretary": [1, 1, 2, 5, 10, 41, 81, 162],
@@ -490,7 +539,7 @@ PIVOT_SIZES = [1, 2, 3, 7, 16, 64, 128, 256]
 @pytest.mark.parametrize("kind,n,pivots", [
     (kind, n, p) for kind, counts in PIVOTS.items()
     for n, p in zip(PIVOT_SIZES, counts)
-])
+] + [("toy", 512, 512)])
 def test_pivot_sequence_pinned(kind, n, pivots):
     sol = solve(FamilySpec(kind, n).build())
     assert sol.status == "optimal"
@@ -535,24 +584,24 @@ MIXED_STATUS = (
 )
 MIXED_PIVOTS = [
     16, 1, 17, 265, 74, 172, 21, 25, 23, 39, 34, 269, 45, 10, 3, 247,
-    68, 40, 45, 41, 76, 129, 30, 11, 220, 1, 301, 1, 31, 47, 12, 6,
+    68, 44, 45, 41, 76, 129, 30, 11, 220, 1, 301, 1, 31, 47, 12, 6,
     25, 41, 46, 5, 68, 37, 202, 46, 6, 137, 1, 116, 33, 2, 2, 8,
-    12, 12, 131, 13, 224, 24, 21, 52, 41, 24, 8, 17, 10, 41, 42, 18,
-    24, 17, 80, 55, 5, 81, 37, 45, 111, 57, 50, 3, 55, 26, 10, 1,
+    12, 12, 131, 13, 224, 24, 21, 52, 41, 24, 9, 17, 10, 41, 42, 18,
+    24, 18, 80, 53, 5, 81, 39, 63, 111, 57, 50, 3, 55, 25, 10, 1,
     70, 32, 69, 7, 97, 7, 14, 6, 14, 44, 5, 34, 34, 1, 60, 18,
-    46, 212, 120, 4, 60, 14, 97, 38, 1, 109, 4, 52, 130, 197, 25, 32,
-    46, 31, 174, 67, 0, 6, 55, 19, 4, 0, 30, 11, 7, 128, 27, 96,
-    208, 90, 49, 34, 66, 20, 4, 18, 9, 100, 2, 4, 40, 16, 20, 1,
-    21, 7, 6, 31, 3, 47, 44, 42, 24, 46, 239, 78, 89, 9, 10, 1,
-    2, 38, 67, 3, 123, 102, 261, 22, 45, 32, 26, 25, 95, 8, 182, 118,
-    35, 5, 146, 2, 28, 151, 29, 94, 19, 0, 71, 82, 50, 52, 42, 16,
+    47, 212, 120, 4, 60, 14, 97, 38, 1, 109, 4, 52, 130, 197, 25, 32,
+    46, 31, 174, 67, 0, 6, 55, 25, 4, 0, 30, 11, 7, 128, 27, 96,
+    208, 90, 49, 34, 66, 20, 4, 18, 9, 100, 2, 4, 52, 16, 20, 1,
+    21, 8, 6, 39, 3, 47, 44, 44, 24, 46, 239, 77, 89, 9, 10, 1,
+    2, 38, 67, 3, 123, 102, 261, 22, 45, 32, 34, 25, 95, 8, 182, 118,
+    35, 4, 146, 2, 28, 151, 29, 94, 19, 0, 71, 82, 50, 52, 42, 16,
     38, 33, 61, 16, 24, 13, 78, 23,
 ]
 
 
 # sha256 over x.tobytes() and dual.tobytes() of each of the 200, in order;
 # like SOLUTION_BYTES below, it belongs to one numpy/LAPACK build
-MIXED_BYTES = "9d900ba31c63bdc35a3c2b68624c89d11394a18735f17aac1ce4e37bb77d6ad3"
+MIXED_BYTES = "a2cb66ae9d0d959a29500428b7356c36df05b28f9b089cbf0f8b8452ce36591e"
 
 
 def test_mixed_pivots_pinned():
@@ -585,9 +634,9 @@ def test_mixed_dump_bytes_pinned(tmp_path):
 # come from np.linalg.solve, so these digests belong to one numpy/LAPACK
 # build; the pivot counts do not.
 SOLUTION_BYTES = {
-    ("toy", 128): (254, "bc0751099b058eb458ac7dfa0ebfe5fcff6fd508c5864e7f19cc37f1682b3515",
+    ("toy", 128): (128, "ff4bf1c7aab4d0014ccc555a3e525df57feddad77b6835f7ac7845dce453e1f9",
                    "935922dc94552718e372a1d089b12327ca524efc4980941286669a7176fd7abb"),
-    ("toy", 512): (1022, "29a875c8e7b926e5df60e90da65c242859050bf510b26f2eee745d9f620ec732",
+    ("toy", 512): (512, "dbcd07024efa8a176f4a4a0ad1346d5aec2df816924c6cafb82ccdb0043a0822",
                    "1ee13c3b4299258a3d91503a1062b5d628cef4edaff16200d6f04ba67147b663"),
     ("balance", 128): (127, "0ade9195093f77d611f7e59879dce10a7737c1cdd593e6f37cccc96b03382574",
                        "f1ebcb753cde99d805ae7d5dcfcaf691b8f964ffdace30746998c74eefd3f7f5"),
@@ -633,7 +682,7 @@ def test_secretary_1_to_200_bytes_pinned():
     assert (pivots, digest.hexdigest()) == SECRETARY_1_200
 
 
-@pytest.mark.parametrize("kind,n,pivots", [("toy", 64, 126), ("secretary", 64, 41)])
+@pytest.mark.parametrize("kind,n,pivots", [("toy", 64, 64), ("secretary", 64, 41)])
 def test_pivot_loop_calls_no_python_level_numpy_wrapper(monkeypatch, kind, n, pivots):
     # _Tableau.run and _blocks call only ufuncs, ndarray methods and
     # np.where; the tableau is built first, since its set-up may call anything

@@ -722,7 +722,9 @@ def test_secretary_worker_exception_reaches_the_caller(monkeypatch, failing):
     rows, threads = online_sim._secretary_rows, set()
 
     def flaky(*args):
-        threads.add(threading.get_ident())
+        # the Thread object, held here, not its ident: a worker that has
+        # exited can hand its ident on to the next one
+        threads.add(threading.current_thread())
         if args[-2] == failing:
             raise RuntimeError(f"range {failing}")
         return rows(*args)

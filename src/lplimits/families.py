@@ -30,9 +30,9 @@ LIMIT_TARGETS = {
 # Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
 # (numpy 2.4, OpenBLAS), one build, solve and certify per process, two runs
-# each: toy 5.4-5.5 s (2048 pivots, 372 MB peak RSS), balance 3.6-3.7 s
-# (2047 pivots, 143 MB), ranking 3.4-3.5 s (2048 pivots, 143 MB), secretary
-# 2.6-2.7 s (1295 pivots, 143 MB; 2801 pivots under Bland's entering rule alone).
+# each: toy 3.8 s (2048 pivots, 303 MB peak RSS), balance 2.3-2.4 s (2047
+# pivots, 142 MB), ranking 2.3 s (2048 pivots, 143 MB), secretary 1.8 s
+# (1295 pivots, 143 MB; 2801 pivots under Bland's entering rule alone).
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
 # ranking_triangular_value is an O(n^2) DP: 0.06 s at n = 4000 and 0.7 s at

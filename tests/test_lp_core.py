@@ -169,8 +169,10 @@ def test_pivot_loop_runs_under_the_small_ufunc_buffer(monkeypatch, caller_bufsiz
 
 
 def test_solve_and_certify_form_each_product_once(monkeypatch):
-    # a solve forms A x at each start corner and at the final re-solve;
-    # certify reuses its feasibility check's A x - b for complementarity
+    # a solve forms A x at each start corner; its final re-solve forms the
+    # right-hand side, then a refinement residual and a check residual for
+    # x (A x) and for y (A.T y); certify reuses its feasibility check's
+    # A x - b for complementarity
     calls = []
     for name in ("matvec", "rmatvec"):
         product = getattr(DenseLp, name)
@@ -178,7 +180,8 @@ def test_solve_and_certify_form_each_product_once(monkeypatch):
                             calls.append(name) or product(lp, v))
     lp = build_ranking(12)
     sol = solve(lp)
-    assert sol.status == "optimal" and calls == ["matvec"] * 3
+    assert sol.status == "optimal"
+    assert calls == ["matvec"] * 4 + ["rmatvec", "matvec", "rmatvec"]
     calls.clear()
     assert certify(lp, sol).passed
     assert sorted(calls) == ["matvec", "rmatvec"]
@@ -309,6 +312,40 @@ def highs(lp):
                   b_eq=np.array(b_eq) if b_eq else None,
                   bounds=list(zip(lp.var_lower, lp.var_upper)), method="highs")
     return ref, sgn * ref.fun if ref.status == 0 else None
+
+
+# Badly scaled box LPs for fuzzing the solver.  fuzz_lp(seed) draws one LP
+# from numpy.random.default_rng(seed):
+# - n and m are uniform in 1..4, and the sense is minimize or maximize;
+# - matrix and right-hand-side entries are +-k * 10^j, with 1 <= k < 100 and
+#   -3 <= j <= 11, 30 % of them 0; the objective has the same form with
+#   -2 <= j <= 2;
+# - row signs are +1, -1 and 0 with probability 0.45, 0.45 and 0.1;
+# - lower bounds are 0; each upper bound is 1 with probability 1/2, else
+#   10^j with j uniform in 0..6.
+# Entries spanning 14 orders of magnitude make the solver's absolute
+# tolerances meet coefficients far from O(1), which the family LPs never do.
+def _entries(rng, shape, low, high):
+    """+-k * 10^j with 1 <= k < 100 and low <= j <= high, 30 % of them 0."""
+    k = rng.integers(1, 100, shape)
+    j = rng.integers(low, high + 1, shape)
+    sign = rng.choice((-1.0, 1.0), shape)
+    return np.where(rng.random(shape) < 0.3, 0.0, sign * k * 10.0 ** j)
+
+
+def fuzz_lp(seed: int) -> DenseLp:
+    """The fuzz LP of ``seed``: see above."""
+    rng = np.random.default_rng(seed)
+    n, m = (int(v) for v in rng.integers(1, 5, 2))
+    sense = (MINIMIZE, MAXIMIZE)[int(rng.integers(0, 2))]
+    rows = _entries(rng, (m, n), -3, 11)
+    rhs = _entries(rng, m, -3, 11)
+    objective = _entries(rng, n, -2, 2)
+    sign = rng.choice((1.0, -1.0, 0.0), m, p=(0.45, 0.45, 0.1))
+    upper = np.where(rng.random(n) < 0.5, 1.0, 10.0 ** rng.integers(0, 7, n))
+    return DenseLp(sense=sense, objective=objective, rows=rows, sign=sign, rhs=rhs,
+                   var_lower=np.zeros(n), var_upper=upper)
+
 
 
 # Mixed LPs: integer data with arbitrary right-hand sides, whose feasibility
@@ -555,6 +592,63 @@ def test_agrees_with_highs_at_family_scale(kind):
     assert sol.objective_value == pytest.approx(ref_value, abs=1e-9)
 
 
+# Over fuzz seeds 0..2999 (``fuzz_lp``): the statuses that agree with
+# HiGHS (optimal and 0, infeasible and 2), the certified optima, and the
+# solves whose re-solve took the LU fallback; then the certified optima off
+# HiGHS by more than 1e-6 relative, or certified where HiGHS finds the LP
+# infeasible.  On these badly scaled LPs the absolute tolerances let
+# ``solve`` stop short of the optimum, or accept a point that misses a row
+# with coefficients of 1e11 and more by less than FEAS_TOL.
+FUZZ_SEEDS = range(3000)
+FUZZ_COUNTS = {"agree": 2955, "certified": 1460, "lu_fallbacks": 13}
+FUZZ_OFF_HIGHS = [390, 991, 1018, 1025, 1219, 1507, 1613, 1889, 2330]
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """The arguments of every np.linalg.solve call, each passed on to numpy."""
+    calls, lu = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or lu(*a))
+    return calls
+
+
+def test_fuzz_counts_pinned(lu_calls):
+    counts, off = dict.fromkeys(FUZZ_COUNTS, 0), []
+    for seed in FUZZ_SEEDS:
+        lp = fuzz_lp(seed)
+        before = len(lu_calls)
+        sol = solve(lp)
+        counts["lu_fallbacks"] += len(lu_calls) > before
+        ref, ref_value = highs(lp)
+        counts["agree"] += (sol.status, ref.status) in (("optimal", 0), ("infeasible", 2))
+        if sol.status == "optimal" and certify(lp, sol).passed:
+            counts["certified"] += 1
+            if ref.status != 0 or (abs(sol.objective_value - ref_value)
+                                   > 1e-6 * (1.0 + abs(ref_value))):
+                off.append(seed)
+    assert counts == FUZZ_COUNTS
+    assert off == FUZZ_OFF_HIGHS
+
+
+# sha256 over x.tobytes() + dual.tobytes() of fuzz LPs whose refined
+# re-solve misses its tolerance: seed 15 in x (a residual of 0.05 on rows
+# with coefficients near 5e11) and in y, 183 in x alone, 1541 in y alone.
+# The LU then gives the bytes it gave before the refinement existed.
+LU_FALLBACK_BYTES = {
+    15: "af7f2bf837bd44ae44063a69261d73b6cb6c065755fdf85953aea671f34be50f",
+    183: "e69d2a8a8829497f55eebc69929782d67476bbef44b206c0937c7dbe8c6f3e74",
+    1541: "a5c7ab68b7d30afd251469212c0fe5f2c8286c3e5d1e497311662e4a655fb6f1",
+}
+
+
+@pytest.mark.parametrize("seed", LU_FALLBACK_BYTES)
+def test_inaccurate_inverse_takes_the_lu_fallback(lu_calls, seed):
+    sol = solve(fuzz_lp(seed))
+    assert sol.status == "optimal" and len(lu_calls) == 2   # B and B.T
+    digest = hashlib.sha256(sol.x.tobytes() + sol.dual.tobytes()).hexdigest()
+    assert digest == LU_FALLBACK_BYTES[seed]
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("", id="empty"),
     pytest.param("minimize 2 1\n1.0 1.0\n1.0 1.0 >= 1.0\n0.0 0.0\n", id="truncated"),
@@ -600,8 +694,8 @@ MIXED_PIVOTS = [
 
 
 # sha256 over x.tobytes() and dual.tobytes() of each of the 200, in order;
-# like SOLUTION_BYTES below, it belongs to one numpy/LAPACK build
-MIXED_BYTES = "a2cb66ae9d0d959a29500428b7356c36df05b28f9b089cbf0f8b8452ce36591e"
+# like SOLUTION_BYTES below, it belongs to one numpy/BLAS build
+MIXED_BYTES = "633497b3685265d3f5f6c4326a56e99799fb1c9716ceec2f10f216625926a143"
 
 
 def test_mixed_pivots_pinned():
@@ -631,30 +725,39 @@ def test_mixed_dump_bytes_pinned(tmp_path):
 
 # Iterations and sha256 of x.tobytes() and dual.tobytes() of family optima.
 # The pivot update must not move one bit of either.  The final x and duals
-# come from np.linalg.solve, so these digests belong to one numpy/LAPACK
-# build; the pivot counts do not.
+# come from BLAS products with the tableau's basis inverse, so these digests
+# belong to one numpy/BLAS build; the pivot counts do not.
 SOLUTION_BYTES = {
-    ("toy", 128): (128, "ff4bf1c7aab4d0014ccc555a3e525df57feddad77b6835f7ac7845dce453e1f9",
-                   "935922dc94552718e372a1d089b12327ca524efc4980941286669a7176fd7abb"),
-    ("toy", 512): (512, "dbcd07024efa8a176f4a4a0ad1346d5aec2df816924c6cafb82ccdb0043a0822",
-                   "1ee13c3b4299258a3d91503a1062b5d628cef4edaff16200d6f04ba67147b663"),
-    ("balance", 128): (127, "0ade9195093f77d611f7e59879dce10a7737c1cdd593e6f37cccc96b03382574",
-                       "f1ebcb753cde99d805ae7d5dcfcaf691b8f964ffdace30746998c74eefd3f7f5"),
-    ("balance", 512): (511, "9de2222b5f859292e595f349f2881d7dba4b983a5e82b5a373df014dc2aae5d5",
-                       "b013043f0f73ac23fcd438b1280e98679e001bf711d620353a0d6f648754e6af"),
-    ("ranking", 128): (128, "668e92036008ff6611b1fe8f1ccdfc8ac1b027d8e297d4b65ed10dda7eb6b332",
-                       "9a4e1efa5aa64c0ada12cb574efead85e1773fb84960dff205c444391b36db58"),
-    ("ranking", 512): (512, "819c79b08931c875f20b6a9feb2fcf748bd0d7bbe86a602b78266368036d4a95",
-                       "75630ed4d57ab6e19b0ba077a5e87c20947a6c130b16a54139c848bca132292b"),
-    ("secretary", 128): (81, "e1314dc5111d5f7edd6489a188469f90dc8ed5fdf40b9265587c3a348605a336",
-                         "d335ed50df01aa548196d5d5f5f06ae69d2d198ae5c69945b2dbe2efbe8958f3"),
-    ("secretary", 512): (324, "b525314f5fb97f190c442186d810b8be712bdbf178d6716c0c8c9f06bba477c1",
-                         "0dd4a33e9f73a6fb61dace75fddf69d575d65746c5b9cca581fbf1ab1d06ea18"),
+    ("toy", 128): (128, "b3ce3a427ac72a652262407f4aa508c8e33943d83dceec37bc2945a00d42df20",
+                   "9cb0dd198b02e1fb0909da57b4d421a9d610ba280326ce02b57d0df8f51d7c2a"),
+    ("toy", 512): (512, "2ec5081ca2f53f4e72b0cf7bf345d6879383853c157eaeaa4c90318aed06b70c",
+                   "29b9aa9944cc41d2b0ce3c234b913cb733021f28359956f58d649e2c01388d3b"),
+    ("balance", 128): (127, "8dad29d0234ad7a5f434e94a05c91e0d8e47b7fa441912b784eaee5a606a49f9",
+                       "f497a0cd356e2ea9ecbf90a7575371317f51855ed1d8c06e450ee2e8702ea9b0"),
+    ("balance", 512): (511, "600df2a3de63bb8849bf65e940764cdef20ca4023210943218522108f8b721b3",
+                       "9b9f9239a1bc4fa1f41445b1a3da53c98f8ccaf849f20f27c7f6cb5afea02998"),
+    ("ranking", 128): (128, "cb1e9ba69c644cd0c59d87f497b7a46916a59f53076356b85b885bd4cf7e4481",
+                       "eb06b994c7ac92a9cee6a786642b77eb26c836673dc050ff45ced11d3c65f17a"),
+    ("ranking", 512): (512, "6c2b2b7126a8bf701bffb0a3c8a949cf10cd7e3b4352b1097e4560598925d83f",
+                       "69aee7c509eb2483845d0d3478d3cf32141d5a2810b49773324bdabfbb312ecb"),
+    ("secretary", 128): (81, "615e823861be2a6bf5d13e721df024011d65f75de0bdce0426f18ab35abf26dc",
+                         "0642d9dbaf632eabdd28e3d46137a7813826471f363def3d21f81e99ebbfb46c"),
+    ("secretary", 512): (324, "51f8dfbcc354f6dfc14ca4a4b7d1bcc7ff3c08d05c05f30fd38a35b69aa3dbc6",
+                         "d45cce8f0bf8d88c319890c45ab9962701bab3add392a0dade6f8885e05a4184"),
 }
 
 
+@pytest.fixture
+def no_lu(monkeypatch):
+    """Family optima never take the LU fallback of ``_Tableau.solution``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called: the LU fallback ran")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
 @pytest.mark.parametrize("kind,n", SOLUTION_BYTES)
-def test_solution_bytes_pinned(kind, n):
+def test_solution_bytes_pinned(no_lu, kind, n):
     sol = solve(FamilySpec(kind, n).build())
     assert sol.status == "optimal"
     digests = (hashlib.sha256(sol.x.tobytes()).hexdigest(),
@@ -665,12 +768,12 @@ def test_solution_bytes_pinned(kind, n):
 # Total pivots, and one sha256 over each solve's iterations (8 bytes,
 # little-endian), x.tobytes() and dual.tobytes() in order, of
 # solve(build_secretary(n)) for n = 1..200: the lp-small benchmark's solves.
-# Like SOLUTION_BYTES, the digest belongs to one numpy/LAPACK build; the
+# Like SOLUTION_BYTES, the digest belongs to one numpy/BLAS build; the
 # pivot count does not.
-SECRETARY_1_200 = (12743, "9d0b94f1e0dcba2583848a60ac1a8dea49e4a7118e268eca6ba523405cdd380a")
+SECRETARY_1_200 = (12743, "b930fadb793c9f6cdb8d449e6f01e376d06060854e1386808c5c4e2ee1f0c700")
 
 
-def test_secretary_1_to_200_bytes_pinned():
+def test_secretary_1_to_200_bytes_pinned(no_lu):
     digest, pivots = hashlib.sha256(), 0
     for n in range(1, 201):
         sol = solve(build_secretary(n))

@@ -1,10 +1,10 @@
 """The working tableau T (m x N floats) is the largest array a solve holds.
 
-T's start rows are negated in place, and T is dropped before the m x m basis
-re-solve, so no second tableau-sized array is live at any point of a solve.
-tracemalloc sees numpy's arrays but not LAPACK's workspace, so these peaks
-leave out what ``np.linalg.solve`` allocates inside LAPACK; the benchmark's
-peak RSS is what checks that.
+T's start rows are negated in place, and the final re-solve reads the basis
+inverse from T's own slack and artificial columns, with vectors alone, so no
+second tableau-sized array and no m x m array is live at any point of a
+solve.  tracemalloc sees numpy's arrays, not memory that BLAS may take for
+itself; the benchmark's peak RSS is what checks that.
 """
 import tracemalloc
 
@@ -27,7 +27,6 @@ def test_solve_holds_one_tableau(kind):
     finally:
         tracemalloc.stop()
     # the update's temporary, the broadcast product part[a - top:b - top,
-    # None] * seg, is one block of T; toy's dense pivot rows make it the
-    # largest: at n = 512 the peak is 1.349 T for toy and 1.151 T for
-    # balance, ranking and secretary
+    # None] * seg, is one block of T: at n = 512 the peak is 1.058 T for toy
+    # and 1.153 T for balance, ranking and secretary
     assert peak <= 1.5 * tableau_bytes, peak / tableau_bytes

@@ -106,7 +106,7 @@ def _cmd_ode(args) -> int:
 
 def _cmd_vc_check(args) -> int:
     spec = families.FamilySpec.parse(args.family)
-    profile = next(p for p in variational.PROFILES.values() if p.family == spec.kind)
+    profile = variational.PROFILES[families.FAMILIES[spec.kind].g_profile]
     _, gap = variational.discretize_profile(profile, spec)
     print(f"{profile.tag} -> {spec.kind}:{spec.size}")
     print(f"max constraint violation: {gap.max_violation:.3e} (bound 2/n = {2.0 / spec.size:.3e})")

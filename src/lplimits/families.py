@@ -12,20 +12,14 @@ and monotonicity rows included, so they can be spot-checked entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .lp_core import (FAMILY_KINDS, MAXIMIZE, MINIMIZE, DenseLp, LpHeader,
                       LpInputError, _as_int)
 
-# The limit every family's LP value converges to: 1/e or 1 - 1/e.
 INV_E = 1.0 / np.e
-LIMIT_TARGETS = {
-    "toy": 1.0 - INV_E,
-    "balance": INV_E,
-    "ranking": 1.0 - INV_E,
-    "secretary": INV_E,
-}
 
 # Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
 # At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
@@ -43,6 +37,80 @@ _BUILD_BLOCK = 32   # identity columns per matvec in _build; 1/64 of n = 2048
 # stays in the 2 MB L2 through every operation on it, so a 10^7-point array
 # streams from memory once instead of once per operation
 _CHUNK = 1 << 15
+
+
+@dataclass(frozen=True)
+class Family:
+    """What one kind of family LP is, from its header to its tight ODE: the
+    one place a kind is defined, and each table keyed by kind a view of it.
+
+    The formulas take the size n and i = 1..n (a column, for ``matvec`` of
+    an (n, k) block); s_i is x_1 + ... + x_i and r_j is y_j + ... + y_n.
+    ``oracle`` looks its function up when called, so a rebinding of the
+    module attribute (the benchmark tracer's) is seen.
+    """
+
+    kind: str
+    sense: str
+    sign: float                 # every row's: +1 for <=, -1 for >=
+    objective: Callable         # (i, n) -> c
+    rhs: Callable               # (i, n) -> b
+    matvec: Callable            # (x, s, i, n) -> rows @ x
+    rmatvec: Callable           # (y, r, i, n) -> rows.T @ y
+    oracle: Callable            # n -> the optimum value, in closed form
+    limit: float                # the value's limit in n: 1/e or 1 - 1/e
+    g_profile: str              # the tag of its g-profile in variational.PROFILES
+    rows: Callable = lambda n: n            # n -> the row count
+    x_scale: Callable = lambda i, n: 1.0    # (i, n) -> d: x_i = g(i/n) / d_i
+    weight: Callable = np.ones_like         # t -> the weight of g in the objective
+    ode: tuple | None = None    # (alpha, beta): the tight ODE y' = alpha + beta t - y
+    ode_solution: str | None = None   # the tag of its closed-form solution
+
+    def fields(self, n: int) -> dict:
+        """Every field of the size-n LP but its rows: the LP's header."""
+        i = np.arange(1, n + 1)
+        return dict(sense=self.sense, objective=self.objective(i, n),
+                    sign=np.full(self.rows(n), self.sign), rhs=self.rhs(i, n),
+                    var_lower=np.zeros(n), var_upper=np.ones(n), family_tag=self.kind)
+
+
+def _toy_rmatvec(y, r, i, n):   # y_j + r_{j+1}/n, then +y'_j - y'_{j-1}
+    out = y[:n] + (r - y[:n]) / n
+    out[:-1] += y[n:]
+    out[1:] -= y[n:]
+    return out
+
+
+FAMILIES = {f.kind: f for f in (
+    Family("toy", MINIMIZE, sign=-1.0, objective=lambda i, n: np.full(n, 1.0 / n),
+           rhs=lambda i, n: np.concatenate([np.ones(n), np.zeros(n - 1)]),
+           # x_i + s_{i-1}/n, then x_i - x_{i+1}
+           matvec=lambda x, s, i, n: np.concatenate([x + (s - x) / n, x[:-1] - x[1:]]),
+           rmatvec=_toy_rmatvec, oracle=lambda n: tight_value_toy(n),
+           limit=1.0 - INV_E, g_profile="ToyG", rows=lambda n: 2 * n - 1),
+    Family("balance", MAXIMIZE, sign=1.0,
+           objective=lambda i, n: 1.0 - i / n, rhs=lambda i, n: i / n,
+           # s_p + (p s_p - sum_{i<=p} i x_i)/N
+           matvec=lambda x, s, i, n: s + (i * s - np.cumsum(i * x, axis=0)) / n,
+           # r_i + (sum_{p>=i} p y_p - i r_i)/N
+           rmatvec=lambda y, r, i, n: r + (np.cumsum((i * y)[::-1])[::-1] - i * r) / n,
+           oracle=lambda n: tight_value_balance(n), limit=INV_E,
+           g_profile="BalanceG", x_scale=lambda i, n: n, weight=lambda t: 1.0 - t,
+           ode=(0.0, 1.0), ode_solution="BalanceV"),      # v + v' = t
+    Family("ranking", MINIMIZE, sign=-1.0,
+           objective=lambda i, n: np.full(n, 1.0 / n), rhs=lambda i, n: np.ones(n),
+           matvec=lambda x, s, i, n: x + s / n,           # x_i + s_i/n
+           rmatvec=lambda y, r, i, n: y + r / n,          # y_j + r_j/n
+           oracle=lambda n: tight_value_ranking(n), limit=1.0 - INV_E,
+           g_profile="RankingG", ode=(1.0, 0.0), ode_solution="RankingU"),  # u + u' = 1
+    Family("secretary", MAXIMIZE, sign=1.0,
+           objective=lambda i, n: i / n, rhs=lambda i, n: np.ones(n),
+           matvec=lambda x, s, i, n: i * x + (s - x),     # i x_i + s_{i-1}
+           rmatvec=lambda y, r, i, n: i * y + (r - y),    # j y_j + r_{j+1}
+           oracle=lambda n: best_threshold(n)[1], limit=INV_E,
+           g_profile="SecretaryG", x_scale=lambda i, n: i),
+)}
+LIMIT_TARGETS = {kind: f.limit for kind, f in FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -68,53 +136,35 @@ class FamilySpec:
 
     def operator(self) -> "FamilyLp":
         """The family LP without its rows; the same size cap as ``build``."""
-        return FamilyLp(**_fields(self.kind, _check_size(self.size)))
+        return FamilyLp(**FAMILIES[self.kind].fields(_check_size(self.size)))
 
 
 class FamilyLp(LpHeader):
     """A family LP: the header of its ``DenseLp``, and no ``rows``.
 
     ``matvec`` and ``rmatvec`` give ``rows @ x`` and ``rows.T @ y`` from one
-    or two prefix sums in O(n), so ``check_feasibility`` and ``certify``
-    take it as they take a DenseLp, without an n x n matrix.  ``matvec`` of
-    an (n, k) block is (m, k), and ``build()``'s rows are ``matvec`` of the
-    identity: these sums are the one definition of the family's matrix.
-    s_i is x_1 + ... + x_i and r_j is y_j + ... + y_n.
+    or two prefix sums in O(n), by its ``Family``'s formulas, so
+    ``check_feasibility`` and ``certify`` take it as they take a DenseLp,
+    without an n x n matrix.  ``matvec`` of an (n, k) block is (m, k), and
+    ``build()``'s rows are ``matvec`` of the identity: these sums are the
+    one definition of the family's matrix.
     """
 
     def __post_init__(self):
         super().__post_init__()
         n, kind = self.n_vars, self.family_tag
-        if kind is None or self.n_rows != (2 * n - 1 if kind == "toy" else n):
+        if kind is None or self.n_rows != FAMILIES[kind].rows(n):
             raise LpInputError(f"bad FamilyLp: tag {kind!r}, {self.n_rows} rows on {n} variables")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        n, kind = self.n_vars, self.family_tag
-        s = np.cumsum(x, axis=0)
-        if kind == "toy":        # x_i + s_{i-1}/n, then x_i - x_{i+1}
-            return np.concatenate([x + (s - x) / n, x[:-1] - x[1:]])
-        if kind == "ranking":    # x_i + s_i/n
-            return x + s / n
-        index = np.arange(1, n + 1).reshape((n,) + (1,) * (x.ndim - 1))
-        if kind == "balance":    # s_p + (p s_p - sum_{i<=p} i x_i)/N
-            return s + (index * s - np.cumsum(index * x, axis=0)) / n
-        return index * x + (s - x)   # secretary: i x_i + s_{i-1}
+        n = self.n_vars
+        i = np.arange(1, n + 1).reshape((n,) + (1,) * (x.ndim - 1))
+        return FAMILIES[self.family_tag].matvec(x, np.cumsum(x, axis=0), i, n)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        n, kind = self.n_vars, self.family_tag
-        head = y[:n]
-        r = np.cumsum(head[::-1])[::-1]
-        if kind == "toy":        # y_j + r_{j+1}/n, then +y'_j - y'_{j-1}
-            out = head + (r - head) / n
-            out[:-1] += y[n:]
-            out[1:] -= y[n:]
-            return out
-        if kind == "balance":    # r_i + (sum_{p>=i} p y_p - i r_i)/N
-            index = np.arange(1, n + 1)
-            return r + (np.cumsum((index * y)[::-1])[::-1] - index * r) / n
-        if kind == "ranking":    # y_j + r_j/n
-            return y + r / n
-        return np.arange(1, n + 1) * y + (r - y)   # secretary: j y_j + r_{j+1}
+        n = self.n_vars
+        r = np.cumsum(y[:n][::-1])[::-1]
+        return FAMILIES[self.family_tag].rmatvec(y, r, np.arange(1, n + 1), n)
 
 
 def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> int:
@@ -127,30 +177,10 @@ def _check_size(n: int, cap: int = SIMPLEX_SIZE_CAP) -> int:
     return n
 
 
-def _fields(kind: str, n: int) -> dict:
-    """Every field of the size-n family LP but its rows: the LP's header."""
-    if kind == "toy":
-        sense, objective = MINIMIZE, np.full(n, 1.0 / n)
-        sign = np.full(2 * n - 1, -1.0)
-        rhs = np.concatenate([np.ones(n), np.zeros(n - 1)])
-    elif kind == "balance":
-        index = np.arange(1, n + 1)
-        sense, objective = MAXIMIZE, 1.0 - index / n
-        sign, rhs = np.ones(n), index / n
-    elif kind == "ranking":
-        sense, objective = MINIMIZE, np.full(n, 1.0 / n)
-        sign, rhs = np.full(n, -1.0), np.ones(n)
-    else:  # secretary
-        sense, objective = MAXIMIZE, np.arange(1, n + 1) / n
-        sign, rhs = np.ones(n), np.ones(n)
-    return dict(sense=sense, objective=objective, sign=sign, rhs=rhs,
-                var_lower=np.zeros(n), var_upper=np.ones(n), family_tag=kind)
-
-
 def _build(kind: str, n: int) -> DenseLp:
     """The size-n family LP, its rows ``matvec`` of the identity in blocks."""
     n = _check_size(n)
-    fields = _fields(kind, n)
+    fields = FAMILIES[kind].fields(n)
     op = FamilyLp(**fields)
     rows = np.empty((op.n_rows, n))
     for a in range(0, n, _BUILD_BLOCK):
@@ -184,12 +214,7 @@ def build_secretary(n: int) -> DenseLp:
     return _build("secretary", n)
 
 
-_BUILDERS = {
-    "toy": build_toy,
-    "balance": build_balance,
-    "ranking": build_ranking,
-    "secretary": build_secretary,
-}
+_BUILDERS = {kind: globals()[f"build_{kind}"] for kind in FAMILIES}
 
 
 def _geometric(first: int, n: int, log_q: float) -> np.ndarray:

@@ -19,9 +19,7 @@ and toy takes n.
 No LP here has an improving ray: every structural bound is finite, and a
 slack moves only when the structurals do (``_Tableau.run`` has the argument).
 So ``solve`` ends ``optimal``, ``infeasible`` or ``iteration_limit``, each
-reported by its one ``return tab.solution(status)``; an optimum whose basis
-matrix is singular, which only a badly scaled LP reaches, raises
-``LpInputError`` there.
+reported by its one ``return tab.solution(status)``.
 
 The working tableau is a single dense m x N array updated in place.  A basis
 exchange touches only the rows where the pivot column is nonzero and the
@@ -67,10 +65,11 @@ the LP's own rows (Wilkinson; Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 12): O(m N) work, where an LU of the basis matrix and its
 transpose is O(m^3).  On toy:512 (m = 1023) the re-solve took 1.8 to
 2.4 ms, and the LU 38 to 57 ms (best of 5, three runs each, 2 vCPUs).
-Only if a refined residual misses its tolerance, which no family LP does,
-is the tableau dropped and the LU run.  So the tableau is never copied, and
-a solve's peak memory is the tableau (with one update block's temporary)
-plus the LP's own rows.
+So the tableau is never copied, and a solve's peak memory is the tableau
+(with one update block's temporary) plus the LP's own rows.  The refined
+answer is returned whatever its residuals: on a badly scaled LP the updated
+inverse can drift too far for one step to mend, and ``certify`` judges that
+answer as it judges any other.
 
 Two vectors carry all the per-row and per-column state.  The row signs
 ``lp.sign`` (+1 for ``<=``, -1 for ``>=``, 0 for ``=``) give every row
@@ -83,9 +82,8 @@ products, ``lp.matvec(x)`` (``rows @ x``) and ``lp.rmatvec(y)``
 (``rows.T @ y``).  So ``check_feasibility`` and ``certify`` also take a
 family's ``FamilyLp``, which gives both from prefix sums and has no rows.
 ``solve`` takes one ``matvec`` per start corner, and its final re-solve
-three ``matvec`` and two ``rmatvec``: the right-hand side, then one
-refinement step and one accuracy check for each of x and y.  ``certify``
-takes one of each.
+two ``matvec`` and one ``rmatvec``: the right-hand side, then one
+refinement step for each of x and y.  ``certify`` takes one of each.
 
 Every array input of the package is read by ``_as_floats``, which refuses
 one that is not numeric (text included) or not finite; each caller checks
@@ -109,6 +107,8 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 LE, GE, EQ = "<=", ">=", "="
 
+# the kinds of families.FAMILIES, one of which a family_tag names; held here,
+# as families imports this module
 FAMILY_KINDS = ("toy", "balance", "ranking", "secretary")
 
 _BLOCK_GAP = 32   # index runs at most this far apart share one update block
@@ -395,9 +395,7 @@ class _Tableau:
     constraint matrix with one unit column per slack and artificial, its
     start rows are negated in place, and each pivot updates it in place.
     The unit columns are remembered by their row and sign alone, and at an
-    optimum they hold the basis inverse that ``solution`` re-solves with;
-    in its rare fallback the basis matrix is rebuilt from ``lp.rows`` after
-    ``T`` is dropped.
+    optimum they hold the basis inverse that ``solution`` re-solves with.
 
     Row i has a slack column (sign +1 or -1, from the row-sign vector) unless
     it is an equality, and an artificial column when the starting corner
@@ -588,22 +586,14 @@ class _Tableau:
         iterative refinement, xB += B^{-1} (r - B xB), whose residual is
         formed from ``lp.matvec`` (``lp.rmatvec`` for y) and the basic unit
         columns.  Only structurals enter r, as nonbasic slacks and
-        artificials sit at zero.
-
-        The refined residuals must be within ``FEAS_TOL`` times max(1,
-        |rhs|), phase 1's infeasibility scale, and within ``REDCOST_TOL``.
-        If either is not, the updated inverse has drifted too far, which only
-        a badly scaled LP does; then, after ``T`` is dropped, B is built and
-        both systems are solved by LU, so the two are never held at once.  A
-        singular B raises LpInputError there.  Any other status keeps the
-        tableau's basic values and zero duals.
+        artificials sit at zero.  The refined xB and y are returned as they
+        are; ``certify`` judges them.  Any other status keeps the tableau's
+        basic values and zero duals.
         """
         lp, n, basis = self.lp, self.n, self.basis
         z = np.where(self.dirn < 0, self.hi, self.lo)
         y = np.zeros(self.m)
-        if status != "optimal":
-            del self.T
-        else:
+        if status == "optimal":
             z[basis] = 0.0
             r = lp.rhs - lp.matvec(z[:n])
             c_B = self.c_phase2[basis]
@@ -632,28 +622,11 @@ class _Tableau:
                 bty[k] = unit_sign * y[unit_row]
                 return c_B - bty
 
-            xB = inv_times(r)
-            xB += inv_times(primal_residual(xB))
+            self.xB[:] = inv_times(r)
+            self.xB += inv_times(primal_residual(self.xB))
             y = inv_t_times(c_B)
             y += inv_t_times(dual_residual(y))
-            accurate = (
-                np.abs(primal_residual(xB)).max(initial=0.0)
-                <= FEAS_TOL * np.abs(lp.rhs).max(initial=1.0)
-                and np.abs(dual_residual(y)).max(initial=0.0) <= REDCOST_TOL)
-            del self.T, inv
-            if accurate:
-                self.xB[:] = xB
-                y *= self.sgn
-            else:
-                B = np.zeros((self.m, self.m))
-                B[:, structural] = lp.rows[:, basis[structural]]
-                B[unit_row, k] = unit_sign
-                try:
-                    self.xB[:] = np.linalg.solve(B, r)
-                    y = self.sgn * np.linalg.solve(B.T, c_B)
-                except np.linalg.LinAlgError:
-                    raise LpInputError("the final basis matrix is singular; "
-                                       "the LP is too badly scaled to solve") from None
+            y *= self.sgn
         z[basis] = self.xB
         x = z[:n]
         return LpSolution(status=status, x=x, objective_value=float(lp.objective @ x),

@@ -361,7 +361,7 @@ def secretary_policy_from_lp(x) -> PolicyTable:
     n = x.size
     # the secretary rows are FamilyLp's prefix sums, without operator()'s cap;
     # FamilyLp refuses n = 0, and check_feasibility any x but n finite values
-    lp = families.FamilyLp(**families._fields("secretary", n))
+    lp = families.FamilyLp(**families.FAMILIES["secretary"].fields(n))
     report = check_feasibility(lp, x, 1e-6)
     if not report.ok:
         raise LpInputError("x is not feasible for the secretary LP "

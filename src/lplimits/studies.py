@@ -7,17 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .families import LIMIT_TARGETS
+from .families import LIMIT_TARGETS  # noqa: F401  (studies.LIMIT_TARGETS)
 from .lp_core import CERT_TOL, LpInputError, _as_int, certify, solve
-
-# The closed-form optimum of each family: it answers past the simplex cap and
-# cross-checks every simplex solve inside it.
-_ORACLES = {
-    "toy": families.tight_value_toy,
-    "balance": families.tight_value_balance,
-    "ranking": families.tight_value_ranking,
-    "secretary": lambda n: families.best_threshold(n)[1],
-}
 
 CSV_HEADER = "family,n,value,status,ms"
 
@@ -62,21 +53,20 @@ class LimitFit:
     target_gap: float       # |extrapolated - limit_target|
 
 
-def _sweep_entry(kind, n, certificates) -> SweepRow:
+def _sweep_entry(family, n, certificates) -> SweepRow:
     t0 = time.perf_counter()
-    oracle = _ORACLES[kind]
     if n > families.SIMPLEX_SIZE_CAP:
-        value, status = oracle(n), "optimal"
+        value, status = family.oracle(n), "optimal"
     else:
-        lp = families._BUILDERS[kind](n)
+        lp = families.FamilySpec(family.kind, n).build()
         sol = solve(lp)
         if sol.status != "optimal":
-            raise SweepError(kind, n, sol.status)
+            raise SweepError(family.kind, n, sol.status)
         if certificates and not certify(lp, sol, CERT_TOL).passed:
-            raise SweepError(kind, n, "certificate_failed")
+            raise SweepError(family.kind, n, "certificate_failed")
         value, status = sol.objective_value, sol.status
-        if abs(value - oracle(n)) > 1e-9:
-            raise SweepError(kind, n, "oracle_mismatch")
+        if abs(value - family.oracle(n)) > 1e-9:
+            raise SweepError(family.kind, n, "oracle_mismatch")
     ms = (time.perf_counter() - t0) * 1e3
     return SweepRow(n=n, value=value, status=status, ms=ms)
 
@@ -89,7 +79,7 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
     cross-checked against it to 1e-9.  Any non-optimal solve aborts the
     sweep.  Sizes must be positive and distinct.
     """
-    if not isinstance(kind, str) or kind not in LIMIT_TARGETS:
+    if not isinstance(kind, str) or kind not in families.FAMILIES:
         raise LpInputError(f"unknown family kind {kind!r}")
     if isinstance(sizes, (str, bytes)):   # iterating text gives its characters
         raise LpInputError(f"sizes must be a sequence of integers, got {sizes!r}")
@@ -101,8 +91,9 @@ def sweep_family(kind: str, sizes, certificates: bool = False) -> SweepTable:
         raise LpInputError("sizes must be positive")
     if len(set(sizes)) < len(sizes):
         raise LpInputError(f"sizes must not repeat, got {sizes}")
-    rows = [_sweep_entry(kind, n, certificates) for n in sizes]
-    return SweepTable(family=kind, rows=rows, limit_target=LIMIT_TARGETS[kind])
+    family = families.FAMILIES[kind]
+    rows = [_sweep_entry(family, n, certificates) for n in sizes]
+    return SweepTable(family=kind, rows=rows, limit_target=family.limit)
 
 
 def limit_estimate(table: SweepTable) -> LimitFit:

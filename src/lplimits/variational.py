@@ -9,8 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import (_CHUNK, INV_E, LIMIT_TARGETS, ORACLE_SIZE_CAP, FamilySpec,
-                       _geometric)
+from .families import _CHUNK, FAMILIES, INV_E, ORACLE_SIZE_CAP, FamilySpec, _geometric
 from .lp_core import LpInputError, _as_float, _as_floats, _as_tol, check_feasibility
 
 # u_dot above this level counts as "active" (tight constraint); separates the
@@ -23,7 +22,7 @@ class ContinuumProfile:
     """A named closed-form function on [0, 1].
 
     A g-profile names the family it discretizes into; its continuum
-    objective is that family's ``LIMIT_TARGETS`` entry.
+    objective is that family's limit.
     """
 
     tag: str
@@ -94,14 +93,8 @@ class OdeTrajectory:
         return float(self.values[-1])
 
 
-_ODE_RHS = {
-    # (alpha, beta) of each tight main constraint y' = alpha + beta t - y, y(0) = 0
-    "balance": (0.0, 1.0),   # v + v' = t
-    "ranking": (1.0, 0.0),   # u + u' = 1
-}
-
-ODE_CLOSED_FORM = {"balance": BALANCE_V, "ranking": RANKING_U}
-ODE_TERMINAL = {kind: LIMIT_TARGETS[kind] for kind in _ODE_RHS}
+ODE_CLOSED_FORM = {k: PROFILES[f.ode_solution] for k, f in FAMILIES.items() if f.ode}
+ODE_TERMINAL = {k: f.limit for k, f in FAMILIES.items() if f.ode}
 
 
 def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
@@ -116,7 +109,7 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
     The values are built in place on the R^k array, one ``_CHUNK`` at a
     time: two arrays of n + 1 floats and one chunk at the peak.
     """
-    if not isinstance(kind, str) or kind not in _ODE_RHS:
+    if not isinstance(kind, str) or kind not in ODE_TERMINAL:
         raise LpInputError(f"unknown ode kind {kind!r}")
     step = _as_float(step, "step")
     if not 0.0 < step <= 1e-2:
@@ -126,7 +119,7 @@ def integrate_tight_ode(kind: str, step: float) -> OdeTrajectory:
         raise LpInputError(f"step {step!r} needs more steps than the cap "
                            f"{ORACLE_SIZE_CAP}")
     n = round(steps)
-    alpha, beta = _ODE_RHS[kind]
+    alpha, beta = FAMILIES[kind].ode   # y' = alpha + beta t - y, y(0) = 0
     h = 1.0 / n
     q = h * (1.0 - h / 2 * (1.0 - h / 3 * (1.0 - h / 4)))
     ts = np.linspace(0.0, 1.0, n + 1)
@@ -156,10 +149,10 @@ class DiscretizationGap:
 def discretize_profile(profile, family: FamilySpec):
     """Sample a continuum g-profile into a finite primal vector.
 
-    Sampling rules: toy/ranking  x_i = g(i/n); balance N x_i = g(i/N);
-    secretary i x_i = g(i/n).  Returns the vector and a gap report against
-    the family LP (max constraint violation, objective difference), checked
-    through the family's ``FamilyLp``, so no n x n matrix is built.
+    x_i = g(i/n) / d_i, with d the family's ``x_scale``: 1, n or i.  Returns
+    the vector and a gap report against the family LP (max constraint
+    violation, objective difference), checked through the family's
+    ``FamilyLp``, so no n x n matrix is built.
 
     `profile` is either a canonical g-profile matching the family kind, or a
     bare callable g (its continuum objective is then taken by quadrature).
@@ -168,7 +161,7 @@ def discretize_profile(profile, family: FamilySpec):
     """
     if not isinstance(family, FamilySpec):
         raise LpInputError(f"family must be a FamilySpec, got {type(family).__name__}")
-    n = family.size
+    n, fam = family.size, FAMILIES[family.kind]
     if isinstance(profile, ContinuumProfile):
         if profile.family is None:
             raise LpInputError(f"{profile.tag} is not a g-profile")
@@ -176,25 +169,16 @@ def discretize_profile(profile, family: FamilySpec):
             raise LpInputError(
                 f"profile {profile.tag} does not match family {family.kind!r}")
         g = profile.fn
-        continuum = LIMIT_TARGETS[profile.family]
     elif callable(profile):
         g = profile
-        continuum = None
     else:
         raise LpInputError("profile must be a ContinuumProfile or callable")
 
     lp = family.operator()
-    grid = np.arange(1, n + 1) / n
-    gv = _as_floats(g(grid), "profile values")
-    if family.kind in ("toy", "ranking"):
-        x = gv
-    elif family.kind == "balance":
-        x = gv / n
-    else:  # secretary
-        x = gv / np.arange(1, n + 1)
-
-    if continuum is None:
-        continuum = _quadrature_objective(g, family.kind)
+    i = np.arange(1, n + 1)
+    x = _as_floats(g(i / n), "profile values") / fam.x_scale(i, n)
+    continuum = (fam.limit if isinstance(profile, ContinuumProfile)
+                 else _quadrature_objective(g, fam.weight))
 
     report = check_feasibility(lp, x, tol=2.0 / n)
     lp_obj = float(lp.objective @ x)
@@ -204,12 +188,11 @@ def discretize_profile(profile, family: FamilySpec):
     return x, gap
 
 
-def _quadrature_objective(g, kind: str) -> float:
-    """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1)."""
+def _quadrature_objective(g, weight) -> float:
+    """Composite Simpson rule (weights 1, 4, 2, ..., 4, 1) of g(t) weight(t)."""
     panels = 100_000   # even
     t = np.linspace(0.0, 1.0, panels + 1)
-    gv = _as_floats(g(t), "profile values")
-    y = gv * ((1.0 - t) if kind == "balance" else np.ones_like(t))
+    y = _as_floats(g(t), "profile values") * weight(t)
     return float(y[:-1:2].sum() + 4.0 * y[1::2].sum() + y[2::2].sum()) / (3 * panels)
 
 

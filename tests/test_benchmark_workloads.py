@@ -29,6 +29,32 @@ RUNS = {
 }
 
 
+# The per-layer metrics a traced pass makes nonzero.  The tracer sees a call
+# only where the package looks its callee up in a module attribute or a
+# module-level dict, so a call path that stops doing so zeroes a metric here.
+_KINDS = ("balance", "ranking", "secretary", "toy")
+_SHARED = {"bench.self_s", "trace.wall_s", "families.self_s", "lp_core.self_s"}
+TRACED_NONZERO = {
+    "lp_small": _SHARED | {
+        "families.build_s", "families.lp_mb", "lp_core.certify_s", "lp_core.pivots",
+        "lp_core.solve_s", "lp_core.us_per_pivot", "online_sim.policy_from_lp_s",
+        "online_sim.self_s"},
+    "continuum": _SHARED | {
+        "families.oracle_s", "interval_opt.grid_points", "interval_opt.search_s.k1",
+        "interval_opt.search_s.k2", "interval_opt.self_s",
+        "variational.discretize_s.balance", "variational.discretize_s.ranking",
+        "variational.discretize_s.secretary", "variational.multiplier_check_s",
+        "variational.ode_s.balance", "variational.ode_s.ranking",
+        "variational.ode_steps", "variational.self_s"},
+    "lp_sweep": _SHARED | {
+        "families.build_s", "families.lp_mb", "families.oracle_s", "lp_core.certify_s",
+        "lp_core.pivots", "lp_core.solve_s", "lp_core.us_per_pivot", "studies.self_s"}
+    | {f"studies.sweep_s.{kind}" for kind in _KINDS}
+    | {f"lp_core.{metric}.{kind}.{n}" for kind in _KINDS for n in (128, 256, 512)
+       for metric in ("solve_s", "pivots", "ms_per_pivot", "tableau_mb")},
+}
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_workload_passes_its_checks(name):
     run = workloads.Pass(tracer.NullTracer())
@@ -45,6 +71,8 @@ def test_traced_workload_passes_its_checks(name):
     assert run.attempted > 0
     assert run.failures == []
     assert not any(span.attrs.get("raised") for span in tr.spans)
+    values = metrics.layer_metrics(tr.spans)
+    assert {metric for metric, v in values.items() if v} == TRACED_NONZERO[name]
 
 
 def test_benchmark_selftest_passes():

@@ -86,3 +86,34 @@ def test_fresh_interpreter_loads_no_extra_library(call, absent):
     loaded = {m.split(".")[0] for m in out.stdout.split()}
     assert "lplimits" in loaded
     assert loaded & absent == set()
+
+
+# every name a fresh `import lplimits` exports, pinned so a change to the
+# package's surface is a decision, not an accident; fresh, because importing
+# a submodule such as lplimits.cli adds it to the package's names
+PUBLIC_NAMES = [
+    "CERT_TOL", "CertificateReport", "ContinuumProfile", "DenseLp", "FEAS_TOL",
+    "FamilyLp", "FamilySpec", "FeasibilityReport", "IntervalSequence", "LimitFit",
+    "LpInputError", "LpSolution", "MultiplierProfile", "PROFILES", "PolicyTable",
+    "SimInstance", "SimReport", "SlabStats", "SweepTable", "best_threshold",
+    "build_balance", "build_ranking", "build_secretary", "build_toy", "certify",
+    "check_feasibility", "discretize_profile", "dump_lp", "eval_profile", "families",
+    "integrate_tight_ode", "interval_opt", "limit_estimate", "load_lp", "lp_core",
+    "multiplier_check", "objective_g", "offline_optimum", "online_sim",
+    "planted_instance", "policy_value", "ranking_triangular_closed_form",
+    "ranking_triangular_value", "reconstruct_u", "run_balance", "run_ranking",
+    "run_secretary", "search_best", "secretary_policy_from_lp", "slab_audit", "solve",
+    "studies", "sweep_family", "threshold_policy_value", "tight_solution_balance",
+    "tight_solution_ranking", "tight_solution_toy", "tight_value_balance",
+    "tight_value_ranking", "tight_value_toy", "triangular_instance", "variational",
+    "write_sweep_csv",
+]
+
+
+def test_public_names_pinned():
+    code = ("import lplimits\n"
+            "print(*sorted(n for n in dir(lplimits) if not n.startswith('_')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.split() == PUBLIC_NAMES

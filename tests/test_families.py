@@ -22,13 +22,42 @@ from lplimits import (
     tight_value_ranking,
     tight_value_toy,
 )
-from lplimits.families import (_CHUNK, ORACLE_SIZE_CAP, RANKING_DP_CAP, SIMPLEX_SIZE_CAP,
+from lplimits import families, studies, variational
+from lplimits.families import (_BUILDERS, _CHUNK, FAMILIES, FAMILY_KINDS, LIMIT_TARGETS,
+                               ORACLE_SIZE_CAP, RANKING_DP_CAP, SIMPLEX_SIZE_CAP,
                                _geometric)
 
 INV_E = 1.0 / np.e
 
 # Frozen C for the |value(n) - limit| <= C/n desk-scale trend checks.
 TREND_C = {"toy": 0.5, "balance": 0.5, "ranking": 0.25, "secretary": 1.0}
+
+
+def test_each_kind_is_one_family_record():
+    # FAMILIES defines the kinds; every other table keyed by kind is its view
+    assert tuple(FAMILIES) == FAMILY_KINDS
+    assert all(family.kind == kind for kind, family in FAMILIES.items())
+    assert LIMIT_TARGETS == {"toy": 1 - INV_E, "balance": INV_E,
+                             "ranking": 1 - INV_E, "secretary": INV_E}
+    assert studies.LIMIT_TARGETS is LIMIT_TARGETS
+    assert _BUILDERS == {kind: getattr(families, f"build_{kind}") for kind in FAMILY_KINDS}
+    g_profiles = {p.tag: p.family for p in variational.PROFILES.values() if p.family}
+    assert g_profiles == {f.g_profile: kind for kind, f in FAMILIES.items()}
+    assert variational.ODE_CLOSED_FORM == {"balance": variational.BALANCE_V,
+                                           "ranking": variational.RANKING_U}
+    assert variational.ODE_TERMINAL == {"balance": INV_E, "ranking": 1 - INV_E}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_family_oracle_is_looked_up_when_called(monkeypatch, kind):
+    # a rebinding of the module's oracle function is seen through the record,
+    # as the benchmark's tracer needs
+    seen = []
+    name = "best_threshold" if kind == "secretary" else f"tight_value_{kind}"
+    original = getattr(families, name)
+    monkeypatch.setattr(families, name, lambda n: seen.append(n) or original(n))
+    FAMILIES[kind].oracle(7)
+    assert seen == [7]
 
 
 def test_spec_parsing():

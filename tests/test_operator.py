@@ -6,7 +6,7 @@ import pytest
 
 from lplimits import (FamilySpec, LpInputError, certify, check_feasibility, dump_lp,
                       lp_core, solve)
-from lplimits.families import FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilyLp, _fields
+from lplimits.families import FAMILIES, FAMILY_KINDS, SIMPLEX_SIZE_CAP, FamilyLp
 from lplimits.variational import PROFILES, discretize_profile
 
 SIZES = [1, 2, 3, 7, 64, 513, 2048]
@@ -100,7 +100,7 @@ def test_operator_rejects_a_malformed_header(change, message):
     # refused when made: not served another family's products, nor left to
     # fail in check_feasibility with numpy's broadcast error
     with pytest.raises(LpInputError, match=message):
-        FamilyLp(**{**_fields("ranking", 5), **change})
+        FamilyLp(**{**FAMILIES["ranking"].fields(5), **change})
 
 
 def test_solve_and_dump_refuse_an_lp_without_rows(monkeypatch, tmp_path):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lplimits import (
     LpInputError,
+    families,
     limit_estimate,
     solve,
     studies,
@@ -66,7 +68,8 @@ def test_sweep_aborts_on_non_optimal(monkeypatch):
 
 
 def test_sweep_aborts_on_oracle_mismatch(monkeypatch):
-    monkeypatch.setitem(studies._ORACLES, "toy", lambda n: 0.0)
+    toy = replace(families.FAMILIES["toy"], oracle=lambda n: 0.0)
+    monkeypatch.setitem(families.FAMILIES, "toy", toy)
     with pytest.raises(SweepError) as err:
         sweep_family("toy", [4])
     assert (err.value.size, err.value.status) == (4, "oracle_mismatch")

@@ -22,11 +22,14 @@ from .lp_core import (FAMILY_KINDS, MAXIMIZE, MINIMIZE, DenseLp, LpHeader,
 INV_E = 1.0 / np.e
 
 # Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
-# At the cap each family solves and certifies, measured on a 2-vCPU x86 VM
-# (numpy 2.4, OpenBLAS), one build, solve and certify per process, two runs
-# each: toy 3.8 s (2048 pivots, 303 MB peak RSS), balance 2.3-2.4 s (2047
-# pivots, 142 MB), ranking 2.3 s (2048 pivots, 143 MB), secretary 1.8 s
-# (1295 pivots, 143 MB; 2801 pivots under Bland's entering rule alone).
+# At the cap each family solves and certifies with the condensed m x (N - m)
+# tableau, measured on a 2-vCPU x86 VM (numpy 2.4, OpenBLAS), one build, solve
+# and certify per process, two runs each: toy 4.7 s (2048 pivots, 168-176 MB
+# peak RSS), balance 3.3-3.6 s (2047 pivots, 111 MB), ranking 3.1-3.3 s (2048
+# pivots, 111 MB), secretary 2.3-2.5 s (1295 pivots, 111 MB; 2801 pivots
+# under Bland's entering rule alone).  In the same alternating runs the
+# m x N tableau took 304 MB on toy and 143 MB on the others, and 5.1-5.4,
+# 3.6, 3.0-3.3 and 2.2-2.7 s.
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
 # ranking_triangular_value is an O(n^2) DP: 0.06 s at n = 4000 and 0.7 s at

@@ -21,15 +21,22 @@ slack moves only when the structurals do (``_Tableau.run`` has the argument).
 So ``solve`` ends ``optimal``, ``infeasible`` or ``iteration_limit``, each
 reported by its one ``return tab.solution(status)``.
 
-The working tableau is a single dense m x N array updated in place.  A basis
-exchange touches only the rows where the pivot column is nonzero and the
-columns where the pivot row is nonzero, as contiguous slice blocks: each run
-of such rows times each run of such columns, with runs at most
-``_BLOCK_GAP`` indices apart merged into one.  On the family LPs that is at
-most six plain slice updates, far cheaper than a full rank-one update, and
-each value (up to the sign of a zero) and pivot choice is the same: every
-entry left out, or merged in across a gap, has only a product with a zero
-factor subtracted.
+The working tableau is condensed (Tucker's condensed tableau; the dictionary
+of Chvatal, *Linear Programming*, 1983, ch. 2): a dense m x (N - m) array
+with one column, or slot, per nonbasic variable, updated in place.  The m
+basic columns of the full m x N tableau are unit vectors that only restate
+the basis, so they are not stored; on toy:512 they were 1023 of its 1535
+columns, and the array fell from 12.56 to 4.19 MB.  At a basis exchange the
+entering variable's slot passes to the leaving one, and the update writes
+that column's full-tableau values; the other basic columns stay unit
+vectors.  The update touches only the rows where the pivot column is
+nonzero and the slots where the pivot row is nonzero, as contiguous slice
+blocks: each run of such rows times each run of such slots, with runs at
+most ``_BLOCK_GAP`` indices apart merged into one.  On the family LPs at
+n <= 512 that is one plain slice update a pivot, at most two on toy, far
+cheaper than a full rank-one update, and each value (up to the sign of a
+zero) and pivot choice is the same: every entry left out, or merged in
+across a gap, has only a product with a zero factor subtracted.
 
 On small LPs a pivot costs more in calls than in arithmetic: over the
 secretary LPs for n = 1..200 a pivot's update averages under 4,000 entries.
@@ -51,22 +58,24 @@ one, against 18 us on a contiguous array, and the whole update 116 and
 65 us (numpy 2.4, 2 vCPUs).  So ``solve`` runs the pivot loop under
 ``_UFUNC_BUFSIZE`` and gives the caller its own size back on every exit;
 toy:512's update took 212 to 286 us a pivot under the default buffer and
-110 to 121 us under this one (four alternating runs each).  The buffer
-decides only how numpy walks the operands, not which values it computes, so
-every value is the same.  It is set for the simplex alone: under it,
-``run_ranking`` ran 13 % slower on one thread.
+110 to 121 us under this one (four alternating runs each, on the m x N
+tableau).  The buffer decides only how numpy walks the operands, not which
+values it computes, so every value is the same.  It is set for the simplex
+alone: under it, ``run_ranking`` ran 13 % slower on one thread.
 
 The final re-solve builds no m x m matrix.  Every row has a unit column,
-its slack or its artificial, and each pivot keeps those columns of the
-tableau equal to B^{-1} times themselves, so at an optimum they hold the
-basis inverse B^{-1}.  ``_Tableau.solution`` re-solves the basic values and
-the duals through them, each with one step of iterative refinement against
-the LP's own rows (Wilkinson; Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 12): O(m N) work, where an LU of the basis matrix and its
-transpose is O(m^3).  On toy:512 (m = 1023) the re-solve took 1.8 to
-2.4 ms, and the LU 38 to 57 ms (best of 5, three runs each, 2 vCPUs).
-So the tableau is never copied, and a solve's peak memory is the tableau
-(with one update block's temporary) plus the LP's own rows.  The refined
+its slack or its artificial, and in the full tableau each pivot keeps those
+columns equal to B^{-1} times themselves, so at an optimum they hold the
+basis inverse B^{-1}: a nonbasic one is its slot of ``T``, and a basic one
+is the unit vector of its row.  ``_Tableau.solution`` re-solves the basic
+values and the duals through them, each with one step of iterative
+refinement against the LP's own rows (Wilkinson; Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 12): O(m (N - m)) work, where an LU
+of the basis matrix and its transpose is O(m^3).  On toy:512 (m = 1023) the
+re-solve took 1.8 to 2.4 ms, and the LU 38 to 57 ms (best of 5, three runs
+each, 2 vCPUs, on the m x N tableau).  So no m x N array is ever built and
+the tableau is never copied, and a solve's peak memory is the tableau (with
+one update block's temporary) plus the LP's own rows.  The refined
 answer is returned whatever its residuals: on a badly scaled LP the updated
 inverse can drift too far for one step to mend, and ``certify`` judges that
 answer as it judges any other.
@@ -389,13 +398,17 @@ def _blocks(idx: np.ndarray) -> list:
 
 
 class _Tableau:
-    """Dense working tableau for one solve; not reused across solves.
+    """Dense condensed tableau for one solve; not reused across solves.
 
-    ``T`` is the only m x N array, and it is never copied: it starts as the
-    constraint matrix with one unit column per slack and artificial, its
-    start rows are negated in place, and each pivot updates it in place.
-    The unit columns are remembered by their row and sign alone, and at an
-    optimum they hold the basis inverse that ``solution`` re-solves with.
+    ``T`` is m x (N - m), one slot per nonbasic variable: ``slot_var[s]`` is
+    slot s's variable and ``var_slot[j]`` variable j's slot, -1 when j is
+    basic.  It is the only tableau-sized array, and it is never copied: it
+    starts as the constraint matrix with the unit columns of the slacks that
+    are not basic, its start rows are negated in place, and each pivot
+    updates it in place.  The unit columns are remembered by their row and
+    sign alone, and at an optimum they, with the basic ones' unit rows, hold
+    the basis inverse that ``solution`` re-solves with.  The per-variable
+    vectors (``d``, ``dirn``, ``lo``, ``hi``) stay indexed by variable.
 
     Row i has a slack column (sign +1 or -1, from the row-sign vector) unless
     it is an equality, and an artificial column when the starting corner
@@ -427,7 +440,7 @@ class _Tableau:
         self.n, self.m, self.N = n, m, N
         self.n_slack, self.n_art = n_slack, n_art
 
-        # column n + k is the unit vector unit_sign[k] * e_{unit_row[k]}
+        # variable n + k is the unit column unit_sign[k] * e_{unit_row[k]}
         self.unit_row = np.concatenate([slack_rows, art_rows])
         self.unit_sign = np.concatenate(
             [lp.sign[slack_rows], np.where(residual[art_rows] >= 0, 1.0, -1.0)])
@@ -437,15 +450,23 @@ class _Tableau:
         self.inv_col[art_rows] = n_slack + np.arange(n_art)
         self.inv_col[slack_rows] = np.arange(n_slack)
         self.inv_sign = self.unit_sign[self.inv_col]
-        T = np.zeros((m, N))
-        T[:, :n] = lp.rows
-        T[self.unit_row, n + np.arange(n_slack + n_art)] = self.unit_sign
 
         basis = np.empty(m, dtype=int)
         basis[slack_rows] = n + np.arange(n_slack)
         basis[art_rows] = n + n_slack + np.arange(n_art)
         xB = np.where(art, np.abs(residual), lp.sign * residual)
-        # tableau rows = B^{-1} A with the initial diagonal +-1 basis
+
+        # One slot per nonbasic variable: the structurals, then the slacks
+        # of the rows whose artificial is basic.
+        slack_k = np.flatnonzero(art[slack_rows])
+        slot_var = np.concatenate([np.arange(n), n + slack_k])
+        var_slot = np.full(N, -1)
+        var_slot[slot_var] = np.arange(slot_var.size)
+        T = np.zeros((m, slot_var.size))
+        T[:, :n] = lp.rows
+        T[slack_rows[slack_k], n + np.arange(slack_k.size)] = self.unit_sign[slack_k]
+        # tableau rows = B^{-1} [A | unit columns] with the initial diagonal
+        # +-1 basis, at the nonbasic columns
         flip = self.unit_sign[basis - n] < 0
         np.negative(T, out=T, where=flip[:, None])
 
@@ -454,7 +475,7 @@ class _Tableau:
             dirn[:n] = -1.0
         dirn[basis] = 0.0
 
-        self.T = T
+        self.T, self.slot_var, self.var_slot = T, slot_var, var_slot
         self.lo = np.concatenate([lp.var_lower, np.zeros(n_slack + n_art)])
         self.hi = np.concatenate([lp.var_upper, np.full(n_slack + n_art, np.inf)])
         self.basis, self.dirn, self.xB = basis, dirn, xB
@@ -463,7 +484,7 @@ class _Tableau:
         self.iterations = 0
 
     def run(self, c: np.ndarray, max_iterations: int) -> str:
-        """Primal simplex until optimal for objective c.
+        """Primal simplex until optimal for objective c, indexed by variable.
 
         The entering column has the most negative ``dirn * d`` (Dantzig),
         ties to the highest index, so that toy's x_n enters first (see the
@@ -485,6 +506,13 @@ class _Tableau:
         bound flip negates ``dirn[q]``.  A basis exchange sets ``dirn[q]`` to
         0 and the leaving variable's to the bound it stops at.
 
+        A basis exchange on row r hands q's slot p to the leaving variable.
+        Its full-tableau column is e_r, so slot p is set to e_r after the
+        pivot column is copied, and the pivot row divided by its pivot then
+        holds 1 / piv at p, the full tableau's T[r, leaving] / T[r, q]; the
+        block update then writes the leaving column's full-tableau values,
+        and the reduced costs take ``d[slot_var] -= d[q] * Trow``.
+
         No step is infinite, as no improving ray exists.  Only slacks and
         artificials have an infinite bound.  Phase 1 minimizes the sum of the
         artificials, which is never below 0.  In phase 2 they are pinned to
@@ -501,8 +529,9 @@ class _Tableau:
         """
         T, lo, hi = self.T, self.lo, self.hi
         basis, dirn, xB = self.basis, self.dirn, self.xB
-        d = c - c[basis] @ T
-        d[basis] = 0.0
+        slot_var, var_slot = self.slot_var, self.var_slot
+        d = np.zeros(self.N)
+        d[slot_var] = c[slot_var] - c[basis] @ T
         span = hi - lo
         dirn[span == 0.0] = 0.0
         # score_rev is dirn * d last column first (see above); score reads it
@@ -523,7 +552,8 @@ class _Tableau:
             if self.iterations >= max_iterations:
                 return "iteration_limit"
             direction = dirn[q]
-            col = T[:, q]
+            p = int(var_slot[q])
+            col = T[:, p]
             delta = -direction * col  # rate of change of basic values
             t_own = span[q]
 
@@ -559,17 +589,22 @@ class _Tableau:
             leaving = basis[r]
             dirn[leaving] = (1.0 if delta[r] < 0 else -1.0) if span[leaving] else 0.0
             xB[r] = lo[q] + t_rows if direction > 0 else hi[q] - t_rows
-            Trow = T[r] / T[r, q]
+            # slot p passes to the leaving variable as e_r (see above)
+            piv = col[r]
             row_blocks = _blocks(rows)
             top = row_blocks[0][0]
-            # col is a view of T, and column q lies in the updated columns
+            # col is a view of T, and slot p lies in the updated columns
             part = col[top:row_blocks[-1][1]].copy()
+            col[:] = 0.0
+            col[r] = 1.0
+            Trow = T[r] / piv
             for c0, c1 in _blocks(Trow.nonzero()[0]):
                 seg = Trow[c0:c1]
                 for a, b in row_blocks:
                     T[a:b, c0:c1] -= part[a - top:b - top, None] * seg
             T[r] = Trow
-            d -= d[q] * Trow
+            slot_var[p], var_slot[q], var_slot[leaving] = leaving, -1, p
+            d[slot_var] -= d[q] * Trow
             basis[r] = q
             dirn[q] = 0.0
             d[q] = 0.0
@@ -580,15 +615,19 @@ class _Tableau:
         At an optimum the basic values and the duals are re-solved against
         the basis matrix B, the basis columns of [lp.rows | unit columns],
         removing the drift of the in-place updates.  Each pivot has kept the
-        unit columns of ``T`` equal to B^{-1} times themselves, so they hold
-        B^{-1} (see ``inv_col``), and no m x m matrix is built or factored:
-        xB = B^{-1} r and y = B^{-T} c_B, each followed by one step of
-        iterative refinement, xB += B^{-1} (r - B xB), whose residual is
-        formed from ``lp.matvec`` (``lp.rmatvec`` for y) and the basic unit
-        columns.  Only structurals enter r, as nonbasic slacks and
-        artificials sit at zero.  The refined xB and y are returned as they
-        are; ``certify`` judges them.  Any other status keeps the tableau's
-        basic values and zero duals.
+        full tableau's unit columns equal to B^{-1} times themselves, so they
+        hold B^{-1} (see ``inv_col``): a nonbasic one is its slot of ``T``
+        and a basic one the unit vector of its row.  So B^{-1} v is ``T @ w``
+        over the slots, with v's weights at the unit variables' slots and 0
+        at the structurals', plus the weights of the basic unit variables at
+        their rows; B^{-T} v reads ``v @ T`` and v the same way.  No m x m or
+        m x N matrix is built or factored: xB = B^{-1} r and y = B^{-T} c_B,
+        each followed by one step of iterative refinement,
+        xB += B^{-1} (r - B xB), whose residual is formed from ``lp.matvec``
+        (``lp.rmatvec`` for y) and the basic unit columns.  Only structurals
+        enter r, as nonbasic slacks and artificials sit at zero.  The refined
+        xB and y are returned as they are; ``certify`` judges them.  Any
+        other status keeps the tableau's basic values and zero duals.
         """
         lp, n, basis = self.lp, self.n, self.basis
         z = np.where(self.dirn < 0, self.hi, self.lo)
@@ -601,14 +640,18 @@ class _Tableau:
             k = np.flatnonzero(~structural)
             u = basis[k] - n
             unit_row, unit_sign = self.unit_row[u], self.unit_sign[u]
-            inv, w = self.T[:, n:], np.zeros(self.N - n)
+            T, slot_var, inv_var = self.T, self.slot_var, n + self.inv_col
 
             def inv_times(v):       # B^{-1} v
-                w[self.inv_col] = self.inv_sign * v
-                return inv @ w
+                w = np.zeros(self.N)    # weights by variable, 0 at structurals
+                w[inv_var] = self.inv_sign * v
+                return T @ w[slot_var] + w[basis]
 
             def inv_t_times(v):     # B^{-T} v
-                return self.inv_sign * (v @ inv)[self.inv_col]
+                g = np.empty(self.N)    # v times each variable's column
+                g[slot_var] = v @ T
+                g[basis] = v
+                return self.inv_sign * g[inv_var]
 
             def primal_residual(xB):    # r - B xB
                 x = np.zeros(n)

@@ -156,6 +156,8 @@ def discretize_profile(profile, family: FamilySpec):
 
     `profile` is either a canonical g-profile matching the family kind, or a
     bare callable g (its continuum objective is then taken by quadrature).
+    g must map the n points i/n to n values; any other shape, a scalar
+    included, is refused.
     A size past the cap of ``family.operator()`` is refused before g is
     sampled.
     """
@@ -176,7 +178,10 @@ def discretize_profile(profile, family: FamilySpec):
 
     lp = family.operator()
     i = np.arange(1, n + 1)
-    x = _as_floats(g(i / n), "profile values") / fam.x_scale(i, n)
+    values = _as_floats(g(i / n), "profile values")
+    if values.shape != (n,):   # before the scaling, which would broadcast it
+        raise LpInputError(f"profile values must have shape ({n},), got {values.shape}")
+    x = values / fam.x_scale(i, n)
     continuum = (fam.limit if isinstance(profile, ContinuumProfile)
                  else _quadrature_objective(g, fam.weight))
 

@@ -689,7 +689,7 @@ MIXED_PIVOTS = [
 
 # sha256 over x.tobytes() and dual.tobytes() of each of the 200, in order;
 # like SOLUTION_BYTES below, it belongs to one numpy/BLAS build
-MIXED_BYTES = "633497b3685265d3f5f6c4326a56e99799fb1c9716ceec2f10f216625926a143"
+MIXED_BYTES = "33b3911722dc1d62eb50f7775749189dd5498245f4474a62a124663422fc7468"
 
 
 def test_mixed_pivots_pinned():
@@ -784,6 +784,59 @@ def test_pivot_loop_calls_no_python_level_numpy_wrapper(monkeypatch, kind, n, pi
         monkeypatch.setattr(np, name, refuse)
     assert tab.run(tab.c_phase2, 10_000) == "optimal"
     assert tab.iterations == pivots
+
+
+def _mixed_equality_lp():
+    # the 13th of the mixed LPs: 24 variables, 28 rows, 11 of them equalities;
+    # 17 rows start on an artificial, 6 of which also have a nonbasic slack
+    rng = np.random.default_rng(4096)
+    return [random_mixed_lp(rng) for _ in range(13)][-1]
+
+
+def _tableau_lps():
+    return {**{kind: FamilySpec(kind, 16).build() for kind in FAMILY_KINDS},
+            "mixed": _mixed_equality_lp()}
+
+
+@pytest.mark.parametrize("name", ["toy", "balance", "ranking", "secretary", "mixed"])
+def test_tableau_holds_only_the_nonbasic_columns(name):
+    tab = _Tableau(_tableau_lps()[name])
+    assert tab.T.shape == (tab.m, tab.N - tab.m)
+    if name == "mixed":
+        assert tab.n_art == 17 and tab.N - tab.m == tab.n + 6
+
+
+def _start_cost(tab):
+    """Phase 1's cost when the tableau has artificials, else phase 2's."""
+    if not tab.n_art:
+        return tab.c_phase2
+    c = np.zeros(tab.N)
+    c[tab.n + tab.n_slack:] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("name,steps", [
+    ("toy", (0, 1, 5, 11, 16)),
+    ("secretary", (0, 1, 4, 7, 10)),
+    ("mixed", (0, 1, 5, 13, 38)),
+])
+def test_tableau_is_the_basis_inverse_times_the_nonbasic_columns(name, steps):
+    # a reference built apart from the solver: after k pivots, T is
+    # B^{-1} M[:, slot_var], with M = [rows | unit columns], B = M[:, basis]
+    # and B^{-1} from np.linalg.solve
+    lp = _tableau_lps()[name]
+    for k in steps:
+        tab = _Tableau(lp)
+        tab.run(_start_cost(tab), max_iterations=k)
+        assert tab.iterations == k
+        M = np.zeros((tab.m, tab.N))
+        M[:, :tab.n] = lp.rows
+        M[tab.unit_row, tab.n + np.arange(tab.N - tab.n)] = tab.unit_sign
+        assert sorted(tab.slot_var.tolist() + tab.basis.tolist()) == list(range(tab.N))
+        assert (tab.var_slot[tab.slot_var] == np.arange(tab.N - tab.m)).all()
+        assert (tab.var_slot[tab.basis] == -1).all()
+        ref = np.linalg.solve(M[:, tab.basis], M[:, tab.slot_var])
+        assert np.abs(tab.T - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), k
 
 
 @pytest.mark.parametrize("idx, want", [

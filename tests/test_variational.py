@@ -17,6 +17,7 @@ from lplimits import (
     multiplier_check,
     variational,
 )
+from lplimits.families import FAMILY_KINDS
 from lplimits.variational import (
     BALANCE_G,
     BALANCE_V,
@@ -322,6 +323,19 @@ def test_discretize_rejects_a_non_callable_profile():
         discretize_profile(0.5, FamilySpec("toy", 10))
     with pytest.raises(LpInputError, match="profile values must be numeric"):
         discretize_profile(lambda t: np.full(t.shape, "x"), FamilySpec("toy", 10))
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("g", [
+    pytest.param(lambda t: 0.5, id="scalar"),
+    pytest.param(lambda t: np.full(t.size - 1, 0.5), id="short"),
+    pytest.param(lambda t: np.full((t.size, 1), 0.5), id="column"),
+])
+def test_discretize_rejects_profile_values_of_another_shape(kind, g):
+    # refused before the x-scaling, which would broadcast a scalar for
+    # secretary (x_i = g / i) and hand the rest a wrong shape
+    with pytest.raises(LpInputError, match=r"profile values must have shape \(4,\)"):
+        discretize_profile(g, FamilySpec(kind, 4))
 
 
 def _u_star_grid(points=10_000):

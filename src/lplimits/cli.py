@@ -116,6 +116,8 @@ def _cmd_vc_check(args) -> int:
 
 
 def _cmd_kkt_check(args) -> int:
+    if args.grid < 3:   # before np.arange, as for the cap
+        raise LpInputError(f"--grid needs at least 3 points, got {args.grid}")
     if args.grid > families.ORACLE_SIZE_CAP:   # before np.arange allocates it
         raise LpInputError(f"--grid {args.grid} exceeds cap {families.ORACLE_SIZE_CAP}")
     if not 0.0 <= args.perturb < np.inf:

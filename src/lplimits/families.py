@@ -23,13 +23,15 @@ INV_E = 1.0 / np.e
 
 # Dense-tableau simplex memory/time budget; the closed-form oracles go far beyond.
 # At the cap each family solves and certifies with the condensed m x (N - m)
-# tableau, measured on a 2-vCPU x86 VM (numpy 2.4, OpenBLAS), one build, solve
-# and certify per process, two runs each: toy 4.7 s (2048 pivots, 168-176 MB
-# peak RSS), balance 3.3-3.6 s (2047 pivots, 111 MB), ranking 3.1-3.3 s (2048
-# pivots, 111 MB), secretary 2.3-2.5 s (1295 pivots, 111 MB; 2801 pivots
+# tableau, its rows padded by one cache line, measured on a 2-vCPU x86 VM
+# (numpy 2.4, OpenBLAS), one build, solve and certify per process, six runs
+# each (range of build + solve + certify): toy 3.7-4.2 s (2048 pivots, 168 MB
+# peak RSS), balance 2.5-2.7 s (2047 pivots, 111 MB), ranking 2.4-2.7 s (2048
+# pivots, 111 MB), secretary 1.7-2.3 s (1295 pivots, 111 MB; 2801 pivots
 # under Bland's entering rule alone).  In the same alternating runs the
-# m x N tableau took 304 MB on toy and 143 MB on the others, and 5.1-5.4,
-# 3.6, 3.0-3.3 and 2.2-2.7 s.
+# unpadded tableau took 3.7-4.0, 2.4-3.5, 2.4-2.8 and 1.7-2.4 s, at 176 MB on
+# toy and 111 MB on the others.  At n = 2048 the pad moves no time beyond the
+# runs' spread; at n = 1024 toy leans 2-6 % slower with it (see lp_core).
 SIMPLEX_SIZE_CAP = 2048
 ORACLE_SIZE_CAP = 10_000_000
 # ranking_triangular_value is an O(n^2) DP: 0.06 s at n = 4000 and 0.7 s at

@@ -51,8 +51,10 @@ On large LPs a pivot costs more in copies than in arithmetic.  An update
 block ``T[a:b, c0:c1]`` is a strided 2-D view, so numpy's ufuncs do not take
 their contiguous fast path on it: they copy the operands through the ufunc
 buffer, 8192 elements by default.  On toy:512, some 88,000 entries a pivot,
-the update took 2.4 to 3.2 ns per entry, several times numpy's time for a
-contiguous subtract.  On a (172, 257) block of a 512 x 1024 array the
+the update takes 2.9 ns per entry under that buffer, six times the 0.49 ns
+of a subtract on a contiguous (172, 512) array, and 1.1 ns under the
+16-element one (medians of 6 and 30 solves, on the padded condensed
+tableau below).  On a (172, 257) block of a 512 x 1024 array the
 subtract took 68 us under the default buffer and 36 us under a 16-element
 one, against 18 us on a contiguous array, and the whole update 116 and
 65 us (numpy 2.4, 2 vCPUs).  So ``solve`` runs the pivot loop under
@@ -62,6 +64,27 @@ toy:512's update took 212 to 286 us a pivot under the default buffer and
 tableau).  The buffer decides only how numpy walks the operands, not which
 values it computes, so every value is the same.  It is set for the simplex
 alone: under it, ``run_ranking`` ran 13 % slower on one thread.
+
+Each row of ``T`` is padded by ``_ROW_PAD`` floats, one 64-byte cache line,
+past its N - m slots: ``T`` is the m x (N - m) view of an m x (N - m + 8)
+array.  Without the pad, an n = 512 family's 512 slots put its rows exactly
+4096 bytes apart, each starting at the same offset in its 4 KB page.  A
+column ``T[:, p]`` then maps to one set of the 12-way, 64-set L1 and to at
+most 32 of the L2's 2048 16-way sets, 512 lines, while toy:512's pivot
+column has 1023 rows, so the walks down the pivot column and the update
+blocks evict their own lines (the self-interference of power-of-two leading
+dimensions; Lam, Rothberg and Wolf, ASPLOS 1991).  With the pad, rows are
+4160 bytes apart and consecutive rows fall in consecutive sets.  The pad is
+always there, at every size, so no branch chooses it; it costs m x 64 bytes
+(65 KB on toy:512) and changes no value, as numpy and BLAS read the rows
+through their stride.  In one process, solves interleaved with the unpadded
+tableau's (median of 40 each, 2 vCPUs), toy:512 took 70.3 ms against 84.2,
+balance:512 38.9 against 44.5, ranking:512 38.8 against 43.6 and
+secretary:512 23.2 against 25.4; at n = 256 the pad saved 0.4 to 1.7 %, and
+at n = 128, whose rows are 1 KB apart, nothing.  Pads of 16 and 64 floats
+did no better than 8.  At n = 1024 and 2048, where ``T`` is 4 to 32 times
+the L2, no kind got faster beyond its runs' spread, and toy:1024 leaned 2 to
+6 % slower, faster in 27 of 80 interleaved solves.
 
 The final re-solve builds no m x m matrix.  Every row has a unit column,
 its slack or its artificial, and in the full tableau each pivot keeps those
@@ -121,6 +144,7 @@ LE, GE, EQ = "<=", ">=", "="
 FAMILY_KINDS = ("toy", "balance", "ranking", "secretary")
 
 _BLOCK_GAP = 32   # index runs at most this far apart share one update block
+_ROW_PAD = 8      # floats, one 64-byte cache line, past each tableau row
 _UFUNC_BUFSIZE = 16   # the pivot loop's ufunc buffer: 16..512 update strided
                       # blocks alike, at about half the default 8192's cost
 
@@ -402,7 +426,10 @@ class _Tableau:
 
     ``T`` is m x (N - m), one slot per nonbasic variable: ``slot_var[s]`` is
     slot s's variable and ``var_slot[j]`` variable j's slot, -1 when j is
-    basic.  It is the only tableau-sized array, and it is never copied: it
+    basic.  It is a view of an array whose rows are ``_ROW_PAD`` floats
+    longer, so that its row stride is not a multiple of 4 KB (see the
+    module docstring); the pad is never read or written.  ``T`` is the only
+    tableau-sized array, and it is never copied: it
     starts as the constraint matrix with the unit columns of the slacks that
     are not basic, its start rows are negated in place, and each pivot
     updates it in place.  The unit columns are remembered by their row and
@@ -462,7 +489,8 @@ class _Tableau:
         slot_var = np.concatenate([np.arange(n), n + slack_k])
         var_slot = np.full(N, -1)
         var_slot[slot_var] = np.arange(slot_var.size)
-        T = np.zeros((m, slot_var.size))
+        w = slot_var.size
+        T = np.zeros((m, w + _ROW_PAD))[:, :w]   # rows off a 4 KB stride
         T[:, :n] = lp.rows
         T[slack_rows[slack_k], n + np.arange(slack_k.size)] = self.unit_sign[slack_k]
         # tableau rows = B^{-1} [A | unit columns] with the initial diagonal

@@ -285,8 +285,10 @@ def multiplier_check(grid, u_candidate, tol: float = 1e-6):
     faster.  The bytes are those of the whole-array formulas.
     """
     t, u = _as_floats(grid, "grid"), _as_floats(u_candidate, "u_candidate")
-    if t.ndim != 1 or t.size < 3 or u.shape != t.shape:
+    if t.ndim != 1 or u.shape != t.shape:
         raise LpInputError("grid and candidate must be equal-length 1-d arrays")
+    if t.size < 3:
+        raise LpInputError(f"grid needs at least 3 points, got {t.size}")
     slope_in = np.empty_like(u)
     bounds = [(a, min(a + _CHUNK, t.size)) for a in range(1, t.size, _CHUNK)]
     if t[0] <= 0.0 or t[-1] > 1.0 or any(

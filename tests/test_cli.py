@@ -173,6 +173,18 @@ def test_kkt_check_past_grid_cap_is_json_error(capsys, monkeypatch):
     assert payload["error"] == f"--grid {ORACLE_SIZE_CAP + 1} exceeds cap {ORACLE_SIZE_CAP}"
 
 
+@pytest.mark.parametrize("grid", ["2", "1", "0", "-5"])
+def test_kkt_check_short_grid_is_json_error(capsys, monkeypatch, grid):
+    # numpy unreachable: the refusal must come before np.arange
+    from lplimits import cli
+    monkeypatch.setattr(cli, "np", None)
+    code, out, err = run_cli(capsys, "kkt-check", f"--grid={grid}")
+    assert code == 2 and out == ""
+    payload = strict_json(err)
+    assert payload["type"] == "LpInputError"
+    assert payload["error"] == f"--grid needs at least 3 points, got {grid}"
+
+
 def test_kkt_check_zero_perturb_skips_the_perturbed_check(capsys):
     code, out, _ = run_cli(capsys, "kkt-check", "--grid", "5000",
                            "--perturb", "0")

@@ -798,10 +798,15 @@ def _tableau_lps():
             "mixed": _mixed_equality_lp()}
 
 
-@pytest.mark.parametrize("name", ["toy", "balance", "ranking", "secretary", "mixed"])
+@pytest.mark.parametrize("name", ["toy", "balance", "ranking", "secretary", "mixed"]
+                         + [f"{kind}:{n}" for n in (128, 512, 1024) for kind in FAMILY_KINDS])
 def test_tableau_holds_only_the_nonbasic_columns(name):
-    tab = _Tableau(_tableau_lps()[name])
+    # T is a view of rows padded past its N - m slots, so they are not
+    # 4096 bytes apart, as they would be at n = 512 (see lp_core's docstring)
+    lps = _tableau_lps()
+    tab = _Tableau(lps[name] if name in lps else FamilySpec.parse(name).build())
     assert tab.T.shape == (tab.m, tab.N - tab.m)
+    assert tab.T.strides[0] % 4096 != 0, tab.T.strides
     if name == "mixed":
         assert tab.n_art == 17 and tab.N - tab.m == tab.n + 6
 

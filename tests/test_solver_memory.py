@@ -1,5 +1,5 @@
 """The working tableau T (m x (N - m) floats, one column per nonbasic
-variable) is the largest array a solve holds.
+variable, each row padded by 8 floats) is the largest array a solve holds.
 
 T is built in its condensed form, its start rows are negated in place, and
 the final re-solve reads the basis inverse from T's nonbasic slack and
@@ -29,8 +29,9 @@ def test_solve_holds_one_tableau(kind):
     finally:
         tracemalloc.stop()
     # the update's temporary, the broadcast product part[a - top:b - top,
-    # None] * seg, is one block of T: at n = 512 the peak is 1.175 T
-    # (4.92 MB) for toy and 1.311 T (2.75 MB) for balance, ranking and
-    # secretary.  The excess over T, 0.65 to 0.73 MB, is what it was under
-    # the m x N tableau, a larger share of the condensed one
+    # None] * seg, is one block of T, and T's rows carry a 64-byte pad
+    # (m * 64 B, which T.nbytes leaves out): at n = 512 the peak is 1.190 T
+    # (4.99 MB) for toy and 1.326 T (2.78 MB) for balance, ranking and
+    # secretary.  The excess over T, 0.68 to 0.80 MB, is the unpadded
+    # tableau's 0.65 to 0.73 MB plus the pad's 33 to 65 KB
     assert peak <= 1.5 * tableau_bytes, peak / tableau_bytes

@@ -402,13 +402,22 @@ def test_multiplier_check_rejects_bad_tol(tol):
 
 
 @pytest.mark.parametrize("t, u", [
-    (np.array([0.5, 1.0]), np.zeros(2)),            # fewer than 3 points
+    (np.array([0.5, 1.0]), np.zeros(3)),            # short, and lengths differ
     (np.linspace(0.1, 1.0, 5), np.zeros(4)),        # lengths differ
     (np.full((3, 3), 0.5), np.zeros((3, 3))),       # not 1-d
 ])
 def test_multiplier_check_rejects_misshapen_input(t, u):
     with pytest.raises(LpInputError, match="equal-length 1-d"):
         multiplier_check(t, u)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_multiplier_check_rejects_a_grid_of_fewer_than_3_points(k):
+    # equal lengths: the size, not the shape, is what is wrong
+    t = np.arange(1, k + 1) / max(k, 1)
+    with pytest.raises(LpInputError) as info:
+        multiplier_check(t, np.zeros(k))
+    assert str(info.value) == f"grid needs at least 3 points, got {k}"
 
 
 def test_multiplier_short_activity_runs():
